@@ -14,9 +14,9 @@
 use esync_core::paxos::group::LogGroup;
 use esync_core::time::RealDuration;
 use esync_metrics::{write_health_jsonl, HealthMeta, WatchdogConfig};
-use esync_sim::{PreStability, SimConfig, SimTime};
+use esync_sim::{PreStability, SimConfig, SimTime, World};
 use esync_workload::gen::ClosedLoopSpec;
-use esync_workload::sim_driver::run_closed_loop_metered;
+use esync_workload::sim_driver::run_closed_loop_on;
 use std::path::PathBuf;
 
 fn out_dir() -> PathBuf {
@@ -47,15 +47,10 @@ fn h1_bytes(seed: u64) -> String {
         backend: "sim".to_string(),
     };
     let spec = ClosedLoopSpec::new(5, 8, 240).seed(seed).key_space(1 << 10);
-    let out = run_closed_loop_metered(
-        cfg,
-        LogGroup::new(4),
-        &spec,
-        SimTime::from_millis(500),
-        SimTime::from_secs(120),
-        RealDuration::from_millis(50),
-        WatchdogConfig::default(),
-    );
+    let mut world = World::new(cfg, LogGroup::new(4));
+    world.enable_metrics(RealDuration::from_millis(50), WatchdogConfig::default());
+    world.run_until(SimTime::from_millis(500));
+    let out = run_closed_loop_on(&mut world, &spec, SimTime::from_secs(120));
     assert_eq!(out.summary.committed, 240, "drive completes");
     assert!(out.log_agreement);
     let health = out.summary.health.expect("metered run attaches health");

@@ -215,7 +215,7 @@ fn bench_decision_tracker(c: &mut Criterion) {
 fn bench_trace_overhead(c: &mut Criterion) {
     use esync_core::paxos::multi::MultiPaxos;
     use esync_workload::gen::ClosedLoopSpec;
-    use esync_workload::sim_driver::{run_closed_loop, run_closed_loop_traced};
+    use esync_workload::sim_driver::run_closed_loop_on;
 
     let drive = |seed: u64, traced: bool| {
         let cfg = SimConfig::builder(3)
@@ -225,13 +225,12 @@ fn bench_trace_overhead(c: &mut Criterion) {
             .build()
             .unwrap();
         let spec = ClosedLoopSpec::new(4, 4, 120).seed(seed).key_space(1 << 10);
-        let warmup = SimTime::from_millis(500);
-        let horizon = SimTime::from_secs(120);
-        let out = if traced {
-            run_closed_loop_traced(cfg, MultiPaxos::new(), &spec, warmup, horizon, 1 << 18)
-        } else {
-            run_closed_loop(cfg, MultiPaxos::new(), &spec, warmup, horizon)
-        };
+        let mut world = World::new(cfg, MultiPaxos::new());
+        if traced {
+            world.enable_typed_trace(1 << 18);
+        }
+        world.run_until(SimTime::from_millis(500));
+        let out = run_closed_loop_on(&mut world, &spec, SimTime::from_secs(120));
         assert_eq!(out.summary.committed, 120);
         out.report.events
     };
@@ -260,7 +259,7 @@ fn bench_metrics_overhead(c: &mut Criterion) {
     use esync_core::paxos::multi::MultiPaxos;
     use esync_core::time::RealDuration;
     use esync_workload::gen::ClosedLoopSpec;
-    use esync_workload::sim_driver::{run_closed_loop, run_closed_loop_metered};
+    use esync_workload::sim_driver::run_closed_loop_on;
 
     let drive = |seed: u64, metered: bool| {
         let cfg = SimConfig::builder(3)
@@ -270,21 +269,12 @@ fn bench_metrics_overhead(c: &mut Criterion) {
             .build()
             .unwrap();
         let spec = ClosedLoopSpec::new(4, 4, 120).seed(seed).key_space(1 << 10);
-        let warmup = SimTime::from_millis(500);
-        let horizon = SimTime::from_secs(120);
-        let out = if metered {
-            run_closed_loop_metered(
-                cfg,
-                MultiPaxos::new(),
-                &spec,
-                warmup,
-                horizon,
-                RealDuration::from_millis(50),
-                esync_metrics::WatchdogConfig::default(),
-            )
-        } else {
-            run_closed_loop(cfg, MultiPaxos::new(), &spec, warmup, horizon)
-        };
+        let mut world = World::new(cfg, MultiPaxos::new());
+        if metered {
+            world.enable_metrics(RealDuration::from_millis(50), esync_metrics::WatchdogConfig::default());
+        }
+        world.run_until(SimTime::from_millis(500));
+        let out = run_closed_loop_on(&mut world, &spec, SimTime::from_secs(120));
         assert_eq!(out.summary.committed, 120);
         out.report.events
     };

@@ -19,7 +19,7 @@ use esync_sim::{PreStability, SimConfig, SimTime, World};
 use esync_trace::jsonl::{write_jsonl, TraceMeta};
 use esync_trace::{check_decision_bound, decompose};
 use esync_workload::gen::ClosedLoopSpec;
-use esync_workload::sim_driver::run_closed_loop_traced;
+use esync_workload::sim_driver::run_closed_loop_on;
 use std::path::PathBuf;
 
 /// Ring capacity: comfortably above what either run emits, so the files
@@ -109,14 +109,10 @@ fn gen_w3(seed: u64) {
         .expect("valid config");
     let meta = meta_of("exp_w3", &cfg, seed, 0);
     let spec = ClosedLoopSpec::new(5, 8, 240).seed(seed).key_space(1 << 10);
-    let out = run_closed_loop_traced(
-        cfg,
-        LogGroup::new(4),
-        &spec,
-        SimTime::from_millis(500),
-        SimTime::from_secs(120),
-        TRACE_CAP,
-    );
+    let mut world = World::new(cfg, LogGroup::new(4));
+    world.enable_typed_trace(TRACE_CAP);
+    world.run_until(SimTime::from_millis(500));
+    let out = run_closed_loop_on(&mut world, &spec, SimTime::from_secs(120));
     assert_eq!(out.summary.committed, 240, "drive completes");
     assert!(out.log_agreement);
     let phases = decompose(&out.trace);

@@ -1,17 +1,17 @@
 //! Passive protocol metrics: the counter half of the observability seam.
 //!
 //! Like tracing ([`crate::trace`]), metrics ride the sans-IO seam as a
-//! **side channel** on the [`Outbox`](crate::outbox::Outbox): protocols
-//! bump named counters with [`Outbox::metric`](crate::outbox::Outbox::metric)
-//! at the same instrument points that emit [`TraceEvent`](crate::trace::TraceEvent)s,
-//! and drivers read the accumulated [`MetricSet`] on their snapshot
-//! cadence. Counters never feed back into protocol behaviour, and with
+//! **side channel** on the [`Outbox`](crate::outbox::Outbox): every
+//! [`Outbox::observe`](crate::outbox::Outbox::observe) call bumps the
+//! counter of the observed [`TraceEvent`](crate::trace::TraceEvent)
+//! (its [`TraceEvent::metric`](crate::trace::TraceEvent::metric)), and
+//! drivers read the accumulated [`MetricSet`] on their snapshot cadence. Counters never feed back into protocol behaviour, and with
 //! metering disabled (the default) the increment is a single predictable
 //! branch — disabled runs are bit-identical to uninstrumented ones
 //! (tier-1 `tests/metrics_smoke.rs` asserts this on both backends).
 //!
-//! The counter taxonomy mirrors the trace taxonomy one-for-one (session
-//! lifecycle, command journey, rebalance protocol), plus driver-fed
+//! The counter taxonomy is the trace taxonomy (session lifecycle,
+//! command journey, rebalance protocol), plus driver-fed
 //! counters such as [`Metric::TraceDropped`] that surface collector-side
 //! loss. The time-series / watchdog layer built on these counters lives
 //! in `esync-metrics`; this module is only the allocation-free registry
@@ -21,10 +21,9 @@
 /// [`Metric::ALL`]).
 pub const METRIC_COUNT: usize = 17;
 
-/// One named counter in the registry. Variants mirror the
-/// [`TraceEvent`](crate::trace::TraceEvent) taxonomy — every trace
-/// instrument point bumps the matching counter — with extra driver-fed
-/// entries at the end.
+/// One named counter in the registry, and the kind of a
+/// [`TraceEvent`](crate::trace::TraceEvent): every observed event bumps
+/// its kind's counter. Driver-fed entries come at the end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Metric {
@@ -88,8 +87,9 @@ impl Metric {
         Metric::TraceDropped,
     ];
 
-    /// A short static label naming the counter (the serialization key;
-    /// matches the trace `kind` label where a trace twin exists).
+    /// A short static label naming the counter: the serialization key
+    /// of health files and the `kind` label of trace files. This is the
+    /// one table of kind names.
     pub fn name(self) -> &'static str {
         match self {
             Metric::OneASent => "1a_sent",
@@ -111,11 +111,16 @@ impl Metric {
             Metric::TraceDropped => "trace_dropped",
         }
     }
+
+    /// The metric named `name` (the inverse of [`Metric::name`]).
+    pub fn from_name(name: &str) -> Option<Metric> {
+        Metric::ALL.into_iter().find(|m| m.name() == name)
+    }
 }
 
 /// A fixed-size, allocation-free set of counters — one slot per
 /// [`Metric`]. This is the passive registry protocols write through
-/// [`Outbox::metric`](crate::outbox::Outbox::metric); drivers sample it
+/// [`Outbox::observe`](crate::outbox::Outbox::observe); drivers sample it
 /// into `esync-metrics` snapshots. Plain `u64`s, not atomics: an outbox
 /// is single-threaded by construction (one per simulator world / one per
 /// runtime node thread), so the cross-thread aggregation — where atomics
@@ -201,6 +206,10 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), METRIC_COUNT, "duplicate metric names");
+        for m in Metric::ALL {
+            assert_eq!(Metric::from_name(m.name()), Some(m));
+        }
+        assert_eq!(Metric::from_name("nope"), None);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! *same* algorithm.
 
 use crate::config::TimingConfig;
-use crate::metrics::{Metric, MetricSet};
+use crate::metrics::MetricSet;
 use crate::time::{LocalDuration, LocalInstant};
 use crate::trace::TraceEvent;
 use crate::types::{ProcessId, ShardId, TimerId, Value};
@@ -87,18 +87,19 @@ pub struct ShardLoad {
 /// Collects the [`Action`]s emitted while handling one event, and exposes
 /// the process's current local-clock reading.
 ///
-/// The outbox also carries the **trace side channel**: when a driver has
-/// enabled tracing ([`Outbox::set_tracing`]), protocols' [`Outbox::trace`]
-/// calls buffer [`TraceEvent`]s for the driver to drain and timestamp.
-/// Tracing never feeds back into behaviour — the action stream is
-/// identical with it on or off — and with it off (the default) the event
-/// closure is never even invoked, so untraced runs pay one branch per
-/// emit site and build nothing.
-///
-/// With enabled metering ([`Outbox::set_metering`]), [`Outbox::metric`]
-/// calls bump counters in a passive [`MetricSet`] sampled by the driver
-/// on its snapshot cadence (`esync-metrics`). Same contract as tracing:
-/// never feeds back into behaviour, one branch per site when off.
+/// The outbox also carries the **observation seam**: protocols call
+/// [`Outbox::observe`] once per instrument point with the
+/// [`TraceEvent`] that happened. When a driver has enabled tracing
+/// ([`Outbox::set_tracing`]) the event is buffered for the driver to
+/// drain and timestamp; when it has enabled metering
+/// ([`Outbox::set_metering`]) the event's counter
+/// ([`TraceEvent::metric`]) is bumped in a passive [`MetricSet`] the
+/// driver samples on its snapshot cadence (`esync-metrics`). One emit
+/// feeds both, so the counters always equal the per-kind counts of the
+/// trace. Observation never feeds back into behaviour — the action
+/// stream is identical with it on or off — and with both off (the
+/// default) the event closure is never even invoked, so unobserved runs
+/// pay one branch per instrument point and build nothing.
 #[derive(Debug, Clone)]
 pub struct Outbox<M> {
     now: LocalInstant,
@@ -156,13 +157,38 @@ impl<M> Outbox<M> {
         self.trace_on
     }
 
-    /// Emits a trace event. The closure is only invoked when tracing is
-    /// enabled, so disabled runs never construct the event.
+    /// Observes one instrument point: records the event when tracing is
+    /// on and bumps its counter when metering is on. The closure is only
+    /// invoked when one of the two is on, so unobserved runs never
+    /// construct the event.
     #[inline]
-    pub fn trace(&mut self, ev: impl FnOnce() -> TraceEvent) {
-        if self.trace_on {
-            self.trace_buf.push(ev());
+    pub fn observe(&mut self, ev: impl FnOnce() -> TraceEvent) {
+        if self.trace_on || self.metrics_on {
+            let ev = ev();
+            if self.metrics_on {
+                self.metrics.inc(ev.metric());
+            }
+            if self.trace_on {
+                self.trace_buf.push(ev);
+            }
         }
+    }
+
+    /// Moves the observations of a nested outbox (one a composite
+    /// protocol ran an inner layer against, with the same enablement as
+    /// this one) into this outbox: counters add into this registry and
+    /// the inner one is re-zeroed; events are mapped through `retag`
+    /// and appended in emission order.
+    pub fn absorb_observations<N>(
+        &mut self,
+        inner: &mut Outbox<N>,
+        retag: impl Fn(TraceEvent) -> TraceEvent,
+    ) {
+        if inner.metrics_on {
+            self.metrics.merge(&inner.metrics);
+            inner.metrics.reset();
+        }
+        self.trace_buf.extend(inner.trace_buf.drain(..).map(retag));
     }
 
     /// The trace events buffered since the last drain, in emission order.
@@ -191,15 +217,6 @@ impl<M> Outbox<M> {
         self.metrics_on
     }
 
-    /// Bumps counter `m` in the passive registry. A single predictable
-    /// branch when metering is disabled.
-    #[inline]
-    pub fn metric(&mut self, m: Metric) {
-        if self.metrics_on {
-            self.metrics.inc(m);
-        }
-    }
-
     /// The accumulated metric registry (drivers sample this on their
     /// snapshot cadence).
     pub fn metrics(&self) -> &MetricSet {
@@ -207,8 +224,8 @@ impl<M> Outbox<M> {
     }
 
     /// Mutable access to the registry, for driver-fed counters (e.g.
-    /// [`Metric::TraceDropped`] sampled from a collector) and for
-    /// re-zeroing on a driver reset.
+    /// [`Metric::TraceDropped`](crate::metrics::Metric::TraceDropped)
+    /// sampled from a collector) and for re-zeroing on a driver reset.
     pub fn metrics_mut(&mut self) -> &mut MetricSet {
         &mut self.metrics
     }
@@ -398,6 +415,7 @@ pub trait Protocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metric;
     use crate::time::LocalDuration;
 
     #[derive(Debug, Clone, PartialEq)]
@@ -426,58 +444,81 @@ mod tests {
     }
 
     #[test]
-    fn trace_channel_is_off_by_default_and_lazy() {
+    fn observe_is_off_by_default_and_lazy() {
         let mut out: Outbox<Ping> = Outbox::new(LocalInstant::ZERO);
-        assert!(!out.tracing());
+        assert!(!out.tracing() && !out.metering());
         let mut built = false;
-        out.trace(|| {
+        out.observe(|| {
             built = true;
             TraceEvent::Anchored { ballot: 1 }
         });
-        assert!(!built, "disabled tracing must not construct events");
+        assert!(!built, "unobserved runs must not construct events");
         assert!(out.trace_events().is_empty());
+        assert_eq!(*out.metrics().counters(), [0; crate::metrics::METRIC_COUNT]);
 
         out.set_tracing(true);
-        out.trace(|| TraceEvent::Anchored { ballot: 2 });
-        out.trace(|| TraceEvent::Submit { value: 9 });
+        out.observe(|| TraceEvent::Anchored { ballot: 2 });
+        out.observe(|| TraceEvent::Submit { value: 9 });
         assert_eq!(out.trace_events().len(), 2);
+        assert_eq!(out.metrics().get(Metric::Anchored), 0, "tracing alone counts nothing");
         let drained: Vec<_> = out.drain_trace().collect();
         assert_eq!(drained[0], TraceEvent::Anchored { ballot: 2 });
         assert_eq!(drained[1], TraceEvent::Submit { value: 9 });
         assert!(out.trace_events().is_empty());
 
         // Reset keeps enablement but clears any leftover events.
-        out.trace(|| TraceEvent::Anchored { ballot: 3 });
+        out.observe(|| TraceEvent::Anchored { ballot: 3 });
         out.reset(LocalInstant::from_nanos(1));
         assert!(out.tracing());
         assert!(out.trace_events().is_empty());
 
         // Disabling clears the buffer.
-        out.trace(|| TraceEvent::Anchored { ballot: 4 });
+        out.observe(|| TraceEvent::Anchored { ballot: 4 });
         out.set_tracing(false);
         assert!(out.trace_events().is_empty());
     }
 
     #[test]
-    fn metric_counts_only_when_metering() {
-        use crate::metrics::Metric;
+    fn observe_counts_only_when_metering() {
         let mut out: Outbox<Ping> = Outbox::new(LocalInstant::ZERO);
-        out.metric(Metric::Decided);
-        assert_eq!(out.metrics().get(Metric::Decided), 0, "off by default");
+        let decided = || TraceEvent::Decided {
+            shard: 0,
+            slot: 0,
+            value: 1,
+        };
         out.set_metering(true);
         assert!(out.metering());
-        out.metric(Metric::Decided);
-        out.metric(Metric::Decided);
+        out.observe(decided);
+        out.observe(decided);
+        assert!(out.trace_events().is_empty(), "metering alone records nothing");
         // Reset keeps enablement and the accumulated counters (the
         // registry is sampled, never drained).
         out.reset(LocalInstant::from_nanos(1));
         assert!(out.metering());
-        out.metric(Metric::Chosen);
+        out.observe(|| TraceEvent::Chosen { shard: 0, slot: 0 });
         assert_eq!(out.metrics().get(Metric::Decided), 2);
         assert_eq!(out.metrics().get(Metric::Chosen), 1);
         // Disabling zeroes the registry.
         out.set_metering(false);
         assert_eq!(out.metrics().get(Metric::Decided), 0);
+    }
+
+    #[test]
+    fn absorbed_observations_move_once() {
+        let mut outer: Outbox<Ping> = Outbox::new(LocalInstant::ZERO);
+        let mut inner: Outbox<Ping> = Outbox::new(LocalInstant::ZERO);
+        for o in [&mut outer, &mut inner] {
+            o.set_tracing(true);
+            o.set_metering(true);
+        }
+        inner.observe(|| TraceEvent::Chosen { shard: 0, slot: 4 });
+        outer.absorb_observations(&mut inner, |ev| ev.with_shard(ShardId::new(2)));
+        assert_eq!(outer.trace_events(), &[TraceEvent::Chosen { shard: 2, slot: 4 }]);
+        assert_eq!(outer.metrics().get(Metric::Chosen), 1);
+        assert!(inner.trace_events().is_empty());
+        assert_eq!(inner.metrics().get(Metric::Chosen), 0, "inner registry re-zeroed");
+        outer.absorb_observations(&mut inner, |ev| ev);
+        assert_eq!(outer.metrics().get(Metric::Chosen), 1, "nothing counted twice");
     }
 
     #[test]

@@ -63,7 +63,6 @@ pub mod rebalance;
 
 use crate::ballot::{Ballot, Session};
 use crate::config::TimingConfig;
-use crate::metrics::Metric;
 use crate::outbox::{Action, Outbox, Process, Protocol};
 use crate::paxos::admitted::Admitted;
 use crate::paxos::multi::{
@@ -78,15 +77,13 @@ use crate::time::LocalInstant;
 use crate::trace::TraceEvent;
 use crate::types::{kv_key, ProcessId, TimerId, Value};
 use std::collections::BTreeMap;
-use std::fmt;
 
 pub use crate::paxos::multi::{TIMER_EPSILON, TIMER_SESSION};
 pub use crate::types::ShardId;
 
 /// One shard's highest-accepted vote in one slot, in wire form: the batch
 /// is an owned `Vec` (not the in-memory `Arc`-shared [`Batch`]) so the
-/// promise has a self-contained representation with a byte-exact codec
-/// ([`GroupPromise::encode`]).
+/// promise has a self-contained representation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PromisedVote {
     /// The log slot voted in.
@@ -129,23 +126,6 @@ pub struct GroupPromise {
     /// promising process's shard count.
     pub shards: Vec<ShardPromise>,
 }
-
-/// A [`GroupPromise`] byte string failed to decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PromiseDecodeError {
-    /// Byte offset at which decoding failed.
-    pub at: usize,
-    /// The field being read when the input ran out or went inconsistent.
-    pub what: &'static str,
-}
-
-impl fmt::Display for PromiseDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid GroupPromise encoding: {} at byte {}", self.what, self.at)
-    }
-}
-
-impl std::error::Error for PromiseDecodeError {}
 
 impl GroupPromise {
     /// Builds the promise of a group: every shard's
@@ -220,118 +200,6 @@ impl GroupPromise {
             }
         }
     }
-
-    /// Encodes the promise as a self-contained byte string: all fields as
-    /// little-endian `u64`s, length-prefixed at every level
-    /// (`[S] ([prefix][chosen] ([slot][len][values…])… [votes]
-    /// ([slot][bal][len][values…])…)…`). The in-memory protocol passes
-    /// promises by value; this codec is the wire form a byte-oriented
-    /// transport would ship, and [`GroupPromise::decode`] round-trips it
-    /// exactly.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let push = |out: &mut Vec<u8>, x: u64| out.extend_from_slice(&x.to_le_bytes());
-        push(&mut out, self.shards.len() as u64);
-        for report in &self.shards {
-            push(&mut out, report.prefix);
-            push(&mut out, report.chosen.len() as u64);
-            for (slot, values) in &report.chosen {
-                push(&mut out, *slot);
-                push(&mut out, values.len() as u64);
-                for val in values {
-                    push(&mut out, val.get());
-                }
-            }
-            push(&mut out, report.votes.len() as u64);
-            for v in &report.votes {
-                push(&mut out, v.slot);
-                push(&mut out, v.bal.get());
-                push(&mut out, v.values.len() as u64);
-                for val in &v.values {
-                    push(&mut out, val.get());
-                }
-            }
-        }
-        out
-    }
-
-    /// Decodes a byte string produced by [`GroupPromise::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PromiseDecodeError`] if the input is truncated, carries
-    /// trailing bytes, or declares lengths its byte budget cannot hold.
-    pub fn decode(bytes: &[u8]) -> Result<GroupPromise, PromiseDecodeError> {
-        struct Reader<'a> {
-            bytes: &'a [u8],
-            at: usize,
-        }
-        impl Reader<'_> {
-            fn u64(&mut self, what: &'static str) -> Result<u64, PromiseDecodeError> {
-                let end = self.at.checked_add(8).filter(|e| *e <= self.bytes.len());
-                let Some(end) = end else {
-                    return Err(PromiseDecodeError { at: self.at, what });
-                };
-                let mut buf = [0u8; 8];
-                buf.copy_from_slice(&self.bytes[self.at..end]);
-                self.at = end;
-                Ok(u64::from_le_bytes(buf))
-            }
-            /// A declared element count, sanity-bounded by the remaining
-            /// byte budget (each element is at least `min_bytes`), so a
-            /// corrupt length cannot trigger a huge allocation.
-            fn len(&mut self, min_bytes: usize, what: &'static str) -> Result<usize, PromiseDecodeError> {
-                let at = self.at;
-                let n = self.u64(what)?;
-                let budget = (self.bytes.len() - self.at) / min_bytes.max(1);
-                if n > budget as u64 {
-                    return Err(PromiseDecodeError { at, what });
-                }
-                Ok(n as usize)
-            }
-        }
-        let mut r = Reader { bytes, at: 0 };
-        let shard_count = r.len(8, "shard count")?;
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let prefix = r.u64("prefix")?;
-            let chosen_count = r.len(16, "chosen count")?;
-            let mut chosen = Vec::with_capacity(chosen_count);
-            for _ in 0..chosen_count {
-                let slot = r.u64("chosen slot")?;
-                let value_count = r.len(8, "chosen value count")?;
-                let mut values = Vec::with_capacity(value_count);
-                for _ in 0..value_count {
-                    values.push(Value::new(r.u64("chosen value")?));
-                }
-                chosen.push((slot, values));
-            }
-            let vote_count = r.len(24, "vote count")?;
-            let mut votes = Vec::with_capacity(vote_count);
-            for _ in 0..vote_count {
-                let slot = r.u64("slot")?;
-                let bal = Ballot::new(r.u64("ballot")?);
-                let value_count = r.len(8, "value count")?;
-                let mut values = Vec::with_capacity(value_count);
-                for _ in 0..value_count {
-                    values.push(Value::new(r.u64("value")?));
-                }
-                votes.push(PromisedVote { slot, bal, values });
-            }
-            shards.push(ShardPromise {
-                prefix,
-                chosen,
-                votes,
-            });
-        }
-        if r.at != bytes.len() {
-            return Err(PromiseDecodeError {
-                at: r.at,
-                what: "trailing bytes",
-            });
-        }
-        Ok(GroupPromise { shards })
-    }
 }
 
 /// A group-session wire message. Phase 1 is group-level (`G1a`/`G1b`,
@@ -374,8 +242,7 @@ pub enum GroupMsg {
     /// is balanced (or rebalancing is disabled): a balanced group's
     /// message stream is bit-identical to the static-router engine's.
     Reroute {
-        /// The epoch bump being announced (see [`RouterUpdate::encode`]
-        /// for the byte form a wire transport would ship).
+        /// The epoch bump being announced.
         update: RouterUpdate,
     },
 }
@@ -767,8 +634,7 @@ impl LogGroupProcess {
 
     fn broadcast_g1a(&mut self, out: &mut Outbox<GroupMsg>) {
         let mbal = self.mbal;
-        out.trace(|| TraceEvent::OneASent { ballot: mbal.get() });
-        out.metric(Metric::OneASent);
+        out.observe(|| TraceEvent::OneASent { ballot: mbal.get() });
         let prefixes = self.shards.iter().map(|s| s.chosen_prefix()).collect();
         out.broadcast(GroupMsg::G1a {
             mbal: self.mbal,
@@ -809,8 +675,7 @@ impl LogGroupProcess {
         let unanchored = self.anchored.is_some_and(|ab| ab < b);
         if unanchored {
             let dropped = self.anchored.take().expect("checked above");
-            out.metric(Metric::Unanchored);
-            out.trace(|| TraceEvent::Unanchored {
+            out.observe(|| TraceEvent::Unanchored {
                 ballot: dropped.get(),
             });
         }
@@ -865,8 +730,7 @@ impl LogGroupProcess {
         debug_assert_eq!(q.bal, self.mbal);
         self.anchored = Some(q.bal);
         let bal = q.bal;
-        out.metric(Metric::Anchored);
-        out.trace(|| TraceEvent::Anchored { ballot: bal.get() });
+        out.observe(|| TraceEvent::Anchored { ballot: bal.get() });
         for (s, (chosen, best)) in q.chosen.iter().zip(q.best.iter()).enumerate() {
             let floor = q.prefixes[s];
             self.dispatch(ShardId::new(s as u32), out, |p, o| {
@@ -892,19 +756,10 @@ impl LogGroupProcess {
         inner.set_tracing(out.tracing());
         inner.set_metering(out.metering());
         f(&mut self.shards[shard.as_usize()], &mut inner);
-        // Metric counters cross the seam by merging: the inner registry
-        // folds into the outer one and is re-zeroed for the next dispatch
-        // (counters are shard-agnostic, so no re-tagging is needed).
-        if inner.metering() {
-            out.metrics_mut().merge(inner.metrics());
-            inner.metrics_mut().reset();
-        }
-        // Trace events cross the seam re-tagged with the real shard id —
-        // the inner layer believes it is shard zero, exactly like its
-        // decides.
-        for ev in inner.drain_trace() {
-            out.trace(|| ev.with_shard(shard));
-        }
+        // Observations cross the seam once: counters add into the outer
+        // registry, and events are re-tagged with the real shard id — the
+        // inner layer believes it is shard zero, exactly like its decides.
+        out.absorb_observations(&mut inner, |ev| ev.with_shard(shard));
         for action in inner.drain_iter() {
             match action {
                 Action::Send { to, msg } => out.send(to, GroupMsg::Shard { shard, msg }),
@@ -965,8 +820,7 @@ impl LogGroupProcess {
             // it — without this it would commit twice).
             if let Some((shard, slot)) = self.moved.get(&value).copied() {
                 if let Some(from) = from {
-                    out.metric(Metric::Replied);
-                    out.trace(|| TraceEvent::ReplySent {
+                    out.observe(|| TraceEvent::ReplySent {
                         shard: shard.get(),
                         value: value.get(),
                     });
@@ -1011,8 +865,7 @@ impl LogGroupProcess {
                         // the command only enters a shard at the flush —
                         // the frozen wait is queue latency and must show
                         // in the decomposition.
-                        out.metric(Metric::Submitted);
-                        out.trace(|| TraceEvent::submit(value));
+                        out.observe(|| TraceEvent::submit(value));
                     }
                     self.frozen.push(value);
                     // The eventual flush dispatches (and counts) the
@@ -1088,8 +941,7 @@ impl LogGroupProcess {
             boundaries: bounds,
         };
         let ep = update.epoch;
-        out.metric(Metric::RebalanceFreeze);
-        out.trace(|| TraceEvent::RebalanceFreeze { epoch: ep });
+        out.observe(|| TraceEvent::RebalanceFreeze { epoch: ep });
         let old = match &self.router {
             ShardRouter::Range(b) => b.clone(),
             ShardRouter::Modulo => unreachable!("rebalancing requires a Range router"),
@@ -1140,8 +992,7 @@ impl LogGroupProcess {
             return;
         }
         let ep = update.epoch;
-        out.metric(Metric::RebalanceDrain);
-        out.trace(|| TraceEvent::RebalanceDrain { epoch: ep });
+        out.observe(|| TraceEvent::RebalanceDrain { epoch: ep });
         let batch = batch_of(update.encode_values());
         let stored = batch.clone();
         let mut slot = 0;
@@ -1164,8 +1015,7 @@ impl LogGroupProcess {
         let taken = self.rebalance.as_mut().and_then(|r| r.migration.take());
         if let Some(m) = &taken {
             let ep = m.update.epoch;
-            out.metric(Metric::RebalanceAbort);
-            out.trace(|| TraceEvent::RebalanceAbort { epoch: ep });
+            out.observe(|| TraceEvent::RebalanceAbort { epoch: ep });
         }
         if taken.is_none() && self.frozen.is_empty() {
             return;
@@ -1241,7 +1091,7 @@ impl LogGroupProcess {
     /// followers switch without waiting for shard-0 catch-up.
     fn apply_update(&mut self, update: RouterUpdate, out: &mut Outbox<GroupMsg>) {
         debug_assert!(update.epoch > self.epoch);
-        // The codecs validate shape and ordering but cannot know the
+        // The value codec validates shape and ordering but cannot know the
         // shard count: an update whose arity does not fit this group
         // (a corrupted Reroute, or a mixed-S deployment outside the
         // model) must never install a router that maps keys to
@@ -1260,8 +1110,7 @@ impl LogGroupProcess {
         self.epoch = update.epoch;
         self.router = ShardRouter::Range(new.clone());
         let ep = self.epoch;
-        out.metric(Metric::RebalanceCommit);
-        out.trace(|| TraceEvent::RebalanceCommit { epoch: ep });
+        out.observe(|| TraceEvent::RebalanceCommit { epoch: ep });
         // Migrate held state: per shard, pull out every moving key's
         // pending commands and admitted entries. Unchosen values
         // re-enter through the new routing; chosen ones join the moved
@@ -1300,8 +1149,7 @@ impl LogGroupProcess {
         reinject.extend(std::mem::take(&mut self.frozen));
         if !reinject.is_empty() {
             let count = reinject.len() as u64;
-            out.metric(Metric::RebalanceReforward);
-            out.trace(|| TraceEvent::RebalanceReforward { epoch: ep, count });
+            out.observe(|| TraceEvent::RebalanceReforward { epoch: ep, count });
         }
         for v in reinject {
             self.admit_value(None, v, out);
@@ -1345,8 +1193,7 @@ impl Process for LogGroupProcess {
                     if let Some(q) = self.p1b.as_mut() {
                         if q.bal == *mbal && q.record(from, promise) {
                             let bal = *mbal;
-                            out.metric(Metric::PromiseQuorum);
-                            out.trace(|| TraceEvent::PromiseQuorum { ballot: bal.get() });
+                            out.observe(|| TraceEvent::PromiseQuorum { ballot: bal.get() });
                             self.anchor(out);
                         }
                     }
@@ -1962,47 +1809,6 @@ mod tests {
         assert_eq!(&*chosen[0][&0], &[Value::new(5)]);
         assert_eq!(&*chosen[0][&1], &[Value::new(6)]);
         assert!(best[0].is_empty());
-    }
-
-    #[test]
-    fn promise_codec_roundtrips() {
-        let p = GroupPromise {
-            shards: vec![
-                ShardPromise::default(),
-                ShardPromise {
-                    prefix: 2,
-                    chosen: vec![(0, vec![Value::new(40)]), (1, vec![])],
-                    votes: vec![
-                        PromisedVote { slot: 3, bal: Ballot::new(4), values: vec![Value::new(7), Value::new(8)] },
-                        PromisedVote { slot: 9, bal: Ballot::new(1), values: vec![] },
-                    ],
-                },
-            ],
-        };
-        let bytes = p.encode();
-        assert_eq!(GroupPromise::decode(&bytes).unwrap(), p);
-        assert_eq!(GroupPromise::decode(&GroupPromise::default().encode()).unwrap(), GroupPromise::default());
-    }
-
-    #[test]
-    fn promise_codec_rejects_corrupt_input() {
-        let p = GroupPromise {
-            shards: vec![ShardPromise {
-                prefix: 1,
-                chosen: vec![(0, vec![Value::new(9)])],
-                votes: vec![PromisedVote { slot: 1, bal: Ballot::new(2), values: vec![Value::new(3)] }],
-            }],
-        };
-        let bytes = p.encode();
-        assert!(GroupPromise::decode(&bytes[..bytes.len() - 1]).is_err(), "truncated");
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(GroupPromise::decode(&trailing).is_err(), "trailing bytes");
-        // A declared length far beyond the byte budget must not allocate.
-        let mut huge = Vec::new();
-        huge.extend_from_slice(&u64::MAX.to_le_bytes());
-        assert!(GroupPromise::decode(&huge).is_err(), "absurd shard count");
-        assert!(GroupPromise::decode(&bytes[..3]).is_err(), "short header");
     }
 
     #[test]

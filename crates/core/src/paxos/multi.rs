@@ -38,7 +38,6 @@
 
 use crate::ballot::{Ballot, Session};
 use crate::config::TimingConfig;
-use crate::metrics::Metric;
 use crate::outbox::{Outbox, Process, Protocol};
 use crate::paxos::admitted::{Admitted, AdmittedSet, DEFAULT_ADMITTED_WINDOW};
 use crate::paxos::slotlog::SlotMap;
@@ -541,8 +540,7 @@ impl MultiPaxosProcess {
 
     fn broadcast_m1a(&mut self, out: &mut Outbox<MultiMsg>) {
         let mbal = self.mbal;
-        out.trace(|| TraceEvent::OneASent { ballot: mbal.get() });
-        out.metric(Metric::OneASent);
+        out.observe(|| TraceEvent::OneASent { ballot: mbal.get() });
         out.broadcast(MultiMsg::M1a {
             mbal,
             prefix: self.chosen_prefix,
@@ -590,8 +588,7 @@ impl MultiPaxosProcess {
         }
         if self.anchored.is_some_and(|ab| ab < b) {
             let dropped = self.anchored.unwrap_or(b);
-            out.metric(Metric::Unanchored);
-            out.trace(|| TraceEvent::Unanchored {
+            out.observe(|| TraceEvent::Unanchored {
                 ballot: dropped.get(),
             });
             self.unanchor();
@@ -634,10 +631,11 @@ impl MultiPaxosProcess {
         // Never propose two batches for the same (ballot, slot); a fresh
         // proposal occupies the pipeline until its slot commits.
         let batch = self.proposals.entry(slot).or_insert(batch).clone();
+        // Gated on tracing alone: metered-only runs keep the `proposed`
+        // counter at zero, as the committed health artifacts record.
         if out.tracing() {
             for v in batch.iter() {
-                out.metric(Metric::Proposed);
-                out.trace(|| TraceEvent::Proposed {
+                out.observe(|| TraceEvent::Proposed {
                     shard: 0,
                     slot,
                     value: v.get(),
@@ -660,8 +658,7 @@ impl MultiPaxosProcess {
         // been fixed up past everything the quorum reported.
         self.learn_chosen(&q.chosen, out);
         self.anchored = Some(q.bal);
-        out.metric(Metric::Anchored);
-        out.trace(|| TraceEvent::Anchored {
+        out.observe(|| TraceEvent::Anchored {
             ballot: q.bal.get(),
         });
         self.complete_phase1(q.max_prefix, &q.best, out);
@@ -847,8 +844,7 @@ impl MultiPaxosProcess {
     pub fn drive_reforward(&mut self, owner: ProcessId, out: &mut Outbox<MultiMsg>) {
         debug_assert!(self.driven, "drive_reforward is for externally driven shards");
         for v in &self.pending {
-            out.metric(Metric::Forwarded);
-            out.trace(|| TraceEvent::ForwardSent { value: v.get() });
+            out.observe(|| TraceEvent::ForwardSent { value: v.get() });
             out.send(owner, MultiMsg::Forward { value: *v });
         }
     }
@@ -982,8 +978,7 @@ impl MultiPaxosProcess {
             return;
         }
         for v in batch.iter() {
-            out.metric(Metric::Decided);
-            out.trace(|| TraceEvent::Decided {
+            out.observe(|| TraceEvent::Decided {
                 shard: 0,
                 slot,
                 value: v.get(),
@@ -1089,8 +1084,7 @@ impl Process for MultiPaxosProcess {
                 if *mbal == self.mbal {
                     if let Some(q) = self.p1b.as_mut() {
                         if q.bal == *mbal && q.record(from, *prefix, chosen, votes) {
-                            out.metric(Metric::PromiseQuorum);
-                            out.trace(|| TraceEvent::PromiseQuorum {
+                            out.observe(|| TraceEvent::PromiseQuorum {
                                 ballot: mbal.get(),
                             });
                             self.anchor(out);
@@ -1127,8 +1121,7 @@ impl Process for MultiPaxosProcess {
                     .record(self.cfg.n(), from, *mbal, batch);
                 if let Some(b) = chosen {
                     let s = *slot;
-                    out.metric(Metric::Chosen);
-                    out.trace(|| TraceEvent::Chosen { shard: 0, slot: s });
+                    out.observe(|| TraceEvent::Chosen { shard: 0, slot: s });
                     self.choose(s, b, out);
                 }
             }
@@ -1143,15 +1136,13 @@ impl Process for MultiPaxosProcess {
                         .get(slot)
                         .expect("chosen commands are logged")
                         .clone();
-                    out.metric(Metric::Replied);
-                    out.trace(|| TraceEvent::ReplySent {
+                    out.observe(|| TraceEvent::ReplySent {
                         shard: 0,
                         value: value.get(),
                     });
                     out.send(from, MultiMsg::LogDecided { slot, batch });
                 } else if self.admit(*value) {
-                    out.metric(Metric::Admitted);
-                    out.trace(|| TraceEvent::Admitted {
+                    out.observe(|| TraceEvent::Admitted {
                         shard: 0,
                         value: value.get(),
                     });
@@ -1240,8 +1231,7 @@ impl Process for MultiPaxosProcess {
                         let owner = self.mbal.owner(self.cfg.n());
                         if owner != self.id {
                             for v in &self.pending {
-                                out.metric(Metric::Forwarded);
-                                out.trace(|| TraceEvent::ForwardSent { value: v.get() });
+                                out.observe(|| TraceEvent::ForwardSent { value: v.get() });
                                 out.send(owner, MultiMsg::Forward { value: *v });
                             }
                         }
@@ -1264,13 +1254,11 @@ impl Process for MultiPaxosProcess {
 
     fn on_client(&mut self, value: Value, out: &mut Outbox<MultiMsg>) {
         self.load.submitted += 1;
-        out.metric(Metric::Submitted);
-        out.trace(|| TraceEvent::submit(value));
+        out.observe(|| TraceEvent::submit(value));
         if !self.admit(value) {
             return;
         }
-        out.metric(Metric::Admitted);
-        out.trace(|| TraceEvent::Admitted {
+        out.observe(|| TraceEvent::Admitted {
             shard: 0,
             value: value.get(),
         });
@@ -1281,8 +1269,7 @@ impl Process for MultiPaxosProcess {
             // our current ballot); the ε tick retries the forward.
             let owner = self.mbal.owner(self.cfg.n());
             if owner != self.id {
-                out.metric(Metric::Forwarded);
-                out.trace(|| TraceEvent::ForwardSent {
+                out.observe(|| TraceEvent::ForwardSent {
                     value: value.get(),
                 });
                 out.send(owner, MultiMsg::Forward { value });

@@ -23,6 +23,7 @@
 //! 3. **Rebalance protocol** — freeze → drain → commit → re-forward (or
 //!    abort), making the live rebalancer's damping visible in traces.
 
+use crate::metrics::Metric;
 use crate::types::{ShardId, Value};
 
 /// One structured trace event. Fields are flat integers so that events
@@ -133,27 +134,34 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// A short static label naming the event kind (the `kind` field of
-    /// the JSONL schema; see `esync-trace`).
-    pub fn kind(&self) -> &'static str {
+    /// The counter this event bumps: the one event-to-kind map. Every
+    /// trace event kind has exactly one [`Metric`] twin, so an observed
+    /// event feeds both the trace and the counters from one emit site.
+    pub fn metric(&self) -> Metric {
         match self {
-            TraceEvent::OneASent { .. } => "1a_sent",
-            TraceEvent::PromiseQuorum { .. } => "promise_quorum",
-            TraceEvent::Anchored { .. } => "anchored",
-            TraceEvent::Unanchored { .. } => "unanchored",
-            TraceEvent::Submit { .. } => "submit",
-            TraceEvent::ForwardSent { .. } => "forward",
-            TraceEvent::Admitted { .. } => "admitted",
-            TraceEvent::Proposed { .. } => "proposed",
-            TraceEvent::Chosen { .. } => "chosen",
-            TraceEvent::Decided { .. } => "decided",
-            TraceEvent::ReplySent { .. } => "reply",
-            TraceEvent::RebalanceFreeze { .. } => "rb_freeze",
-            TraceEvent::RebalanceDrain { .. } => "rb_drain",
-            TraceEvent::RebalanceCommit { .. } => "rb_commit",
-            TraceEvent::RebalanceReforward { .. } => "rb_reforward",
-            TraceEvent::RebalanceAbort { .. } => "rb_abort",
+            TraceEvent::OneASent { .. } => Metric::OneASent,
+            TraceEvent::PromiseQuorum { .. } => Metric::PromiseQuorum,
+            TraceEvent::Anchored { .. } => Metric::Anchored,
+            TraceEvent::Unanchored { .. } => Metric::Unanchored,
+            TraceEvent::Submit { .. } => Metric::Submitted,
+            TraceEvent::ForwardSent { .. } => Metric::Forwarded,
+            TraceEvent::Admitted { .. } => Metric::Admitted,
+            TraceEvent::Proposed { .. } => Metric::Proposed,
+            TraceEvent::Chosen { .. } => Metric::Chosen,
+            TraceEvent::Decided { .. } => Metric::Decided,
+            TraceEvent::ReplySent { .. } => Metric::Replied,
+            TraceEvent::RebalanceFreeze { .. } => Metric::RebalanceFreeze,
+            TraceEvent::RebalanceDrain { .. } => Metric::RebalanceDrain,
+            TraceEvent::RebalanceCommit { .. } => Metric::RebalanceCommit,
+            TraceEvent::RebalanceReforward { .. } => Metric::RebalanceReforward,
+            TraceEvent::RebalanceAbort { .. } => Metric::RebalanceAbort,
         }
+    }
+
+    /// The event kind's label (the `kind` field of the JSONL schema; see
+    /// `esync-trace`): the name of its [`TraceEvent::metric`].
+    pub fn kind(&self) -> &'static str {
+        self.metric().name()
     }
 
     /// The shard the event is scoped to, if any. The sharded log group's
@@ -206,7 +214,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinds_are_unique() {
+    fn metric_map_is_one_to_one() {
         let all = [
             TraceEvent::OneASent { ballot: 1 },
             TraceEvent::PromiseQuorum { ballot: 1 },
@@ -233,10 +241,11 @@ mod tests {
             TraceEvent::RebalanceReforward { epoch: 1, count: 2 },
             TraceEvent::RebalanceAbort { epoch: 1 },
         ];
-        let mut kinds: Vec<&str> = all.iter().map(|e| e.kind()).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        assert_eq!(kinds.len(), all.len(), "duplicate kind labels");
+        let mut metrics: Vec<usize> = all.iter().map(|e| e.metric() as usize).collect();
+        metrics.sort_unstable();
+        metrics.dedup();
+        assert_eq!(metrics.len(), all.len(), "two kinds share a counter");
+        assert!(all.iter().all(|e| e.metric() != Metric::TraceDropped));
     }
 
     #[test]

@@ -14,18 +14,19 @@
 //! breaking old readers. Firing lines are distinguished from snapshot
 //! lines by the `watchdog` key.
 //!
-//! The vendored offline `serde_json` serializes only, so parsing is a
-//! hand-rolled scanner — unlike the trace parser, this one understands
-//! arrays (for `counters`) and `null` (for cluster-wide `node`).
+//! Lines are parsed through the vendored `serde_json::Value`, the same
+//! reader the trace parser uses.
 
 use crate::snapshot::MetricsSnapshot;
 use crate::watchdog::{WatchdogFiring, WatchdogKind};
 use esync_core::metrics::{Metric, METRIC_COUNT};
 use serde::{Serialize, Serializer};
+use serde_json::Value;
 use std::fmt;
 
-/// The run header of a `HEALTH_*.jsonl` file.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The run header of a `HEALTH_*.jsonl` file. Serialized in field
+/// order, which is the header's key order.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HealthMeta {
     /// Experiment label (e.g. `"w6_health"`).
     pub exp: String,
@@ -94,18 +95,7 @@ fn meta_line(meta: &HealthMeta) -> String {
     let mut s = Serializer::new();
     s.begin_map();
     s.key("meta");
-    s.begin_map();
-    s.key("exp");
-    s.value_str(&meta.exp);
-    s.key("seed");
-    s.value_u64(meta.seed);
-    s.key("n");
-    s.value_u64(u64::from(meta.n));
-    s.key("interval_ns");
-    s.value_u64(meta.interval_ns);
-    s.key("backend");
-    s.value_str(&meta.backend);
-    s.end_map();
+    meta.serialize(&mut s);
     s.end_map();
     s.finish()
 }
@@ -137,183 +127,44 @@ pub fn write_health_jsonl(
     out
 }
 
-// ---- parsing (hand-rolled: the vendored serde_json cannot parse) ----
+// ---- parsing ----
 
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Num(u64),
-    Str(String),
-    Obj(Vec<(String, Val)>),
-    Arr(Vec<Val>),
-    Null,
+fn field<'v>(v: &'v Value, key: &'static str) -> Result<&'v Value, HealthParseError> {
+    v.get(key).ok_or(HealthParseError { what: key, at: 0 })
 }
 
-struct Scanner<'a> {
-    s: &'a [u8],
-    at: usize,
+fn get_u64(v: &Value, key: &'static str) -> Result<u64, HealthParseError> {
+    field(v, key)?.as_u64().ok_or(HealthParseError { what: key, at: 0 })
 }
 
-impl Scanner<'_> {
-    fn err<T>(&self, what: &'static str) -> Result<T, HealthParseError> {
-        Err(HealthParseError { what, at: self.at })
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.at).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.at += 1;
-        Some(b)
-    }
-
-    fn expect(&mut self, b: u8, what: &'static str) -> Result<(), HealthParseError> {
-        if self.peek() == Some(b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            self.err(what)
-        }
-    }
-
-    fn string(&mut self) -> Result<String, HealthParseError> {
-        self.expect(b'"', "string")?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    _ => return self.err("escape"),
-                },
-                Some(b) => out.push(b as char),
-                None => return self.err("closing quote"),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, HealthParseError> {
-        let start = self.at;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.at += 1;
-        }
-        if self.at == start {
-            return self.err("number");
-        }
-        std::str::from_utf8(&self.s[start..self.at])
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .ok_or(HealthParseError {
-                what: "u64 in range",
-                at: start,
-            })
-    }
-
-    fn value(&mut self) -> Result<Val, HealthParseError> {
-        match self.peek() {
-            Some(b'"') => Ok(Val::Str(self.string()?)),
-            Some(b'{') => Ok(Val::Obj(self.object()?)),
-            Some(b'[') => Ok(Val::Arr(self.array()?)),
-            Some(b'n') => {
-                if self.s[self.at..].starts_with(b"null") {
-                    self.at += 4;
-                    Ok(Val::Null)
-                } else {
-                    self.err("null")
-                }
-            }
-            Some(b) if b.is_ascii_digit() => Ok(Val::Num(self.number()?)),
-            _ => self.err("value"),
-        }
-    }
-
-    fn array(&mut self) -> Result<Vec<Val>, HealthParseError> {
-        self.expect(b'[', "array")?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(items);
-        }
-        loop {
-            items.push(self.value()?);
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(items),
-                _ => return self.err("comma or closing bracket"),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Vec<(String, Val)>, HealthParseError> {
-        self.expect(b'{', "object")?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(fields);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':', "colon")?;
-            fields.push((key, self.value()?));
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(fields),
-                _ => return self.err("comma or closing brace"),
-            }
-        }
-    }
+fn get_str<'v>(v: &'v Value, key: &'static str) -> Result<&'v str, HealthParseError> {
+    field(v, key)?.as_str().ok_or(HealthParseError { what: key, at: 0 })
 }
 
-fn get<'v>(fields: &'v [(String, Val)], key: &'static str) -> Result<&'v Val, HealthParseError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or(HealthParseError { what: key, at: 0 })
-}
-
-fn get_u64(fields: &[(String, Val)], key: &'static str) -> Result<u64, HealthParseError> {
-    match get(fields, key)? {
-        Val::Num(n) => Ok(*n),
-        _ => Err(HealthParseError { what: key, at: 0 }),
+fn get_node(v: &Value) -> Result<Option<u32>, HealthParseError> {
+    let node = field(v, "node")?;
+    if node.is_null() {
+        return Ok(None);
     }
+    let bad = HealthParseError { what: "node", at: 0 };
+    let n = node.as_u64().ok_or(bad)?;
+    u32::try_from(n).map(Some).map_err(|_| bad)
 }
 
-fn get_str<'v>(fields: &'v [(String, Val)], key: &'static str) -> Result<&'v str, HealthParseError> {
-    match get(fields, key)? {
-        Val::Str(s) => Ok(s),
-        _ => Err(HealthParseError { what: key, at: 0 }),
-    }
-}
-
-fn get_node(fields: &[(String, Val)]) -> Result<Option<u32>, HealthParseError> {
-    match get(fields, "node")? {
-        Val::Null => Ok(None),
-        Val::Num(n) => u32::try_from(*n)
-            .map(Some)
-            .map_err(|_| HealthParseError { what: "node", at: 0 }),
-        _ => Err(HealthParseError { what: "node", at: 0 }),
-    }
-}
-
-fn counters_of(val: &Val) -> Result<[u64; METRIC_COUNT], HealthParseError> {
-    let Val::Arr(pairs) = val else {
-        return Err(HealthParseError { what: "counters", at: 0 });
-    };
+fn counters_of(v: &Value) -> Result<[u64; METRIC_COUNT], HealthParseError> {
+    let pairs = v.as_array().ok_or(HealthParseError { what: "counters", at: 0 })?;
     let mut counters = [0u64; METRIC_COUNT];
     for pair in pairs {
-        let Val::Arr(kv) = pair else {
+        let kv = pair.as_array().map(Vec::as_slice);
+        let Some([name, count]) = kv else {
             return Err(HealthParseError { what: "counter pair", at: 0 });
         };
-        let [Val::Str(name), Val::Num(v)] = kv.as_slice() else {
+        let (Some(name), Some(count)) = (name.as_str(), count.as_u64()) else {
             return Err(HealthParseError { what: "counter pair", at: 0 });
         };
         // Unknown names are skipped, so old readers survive new counters.
-        if let Some(m) = Metric::ALL.into_iter().find(|m| m.name() == name) {
-            counters[m as usize] = *v;
+        if let Some(m) = Metric::from_name(name) {
+            counters[m as usize] = count;
         }
     }
     Ok(counters)
@@ -326,40 +177,36 @@ fn counters_of(val: &Val) -> Result<[u64; METRIC_COUNT], HealthParseError> {
 /// Returns [`HealthParseError`] for malformed JSON, unknown watchdog
 /// names, or missing fields.
 pub fn parse_health_line(line: &str) -> Result<HealthLine, HealthParseError> {
-    let mut sc = Scanner {
-        s: line.trim_end().as_bytes(),
-        at: 0,
-    };
-    let fields = sc.object()?;
-    if sc.at != sc.s.len() {
-        return sc.err("end of line");
-    }
-    if let Ok(Val::Obj(meta)) = get(&fields, "meta").cloned() {
+    let v: Value = line.trim_end().parse().map_err(|e: serde_json::Error| HealthParseError {
+        what: "valid JSON",
+        at: e.column() - 1,
+    })?;
+    if let Some(meta) = v.get("meta") {
         return Ok(HealthLine::Meta(HealthMeta {
-            exp: get_str(&meta, "exp")?.to_string(),
-            seed: get_u64(&meta, "seed")?,
-            n: u32::try_from(get_u64(&meta, "n")?)
+            exp: get_str(meta, "exp")?.to_string(),
+            seed: get_u64(meta, "seed")?,
+            n: u32::try_from(get_u64(meta, "n")?)
                 .map_err(|_| HealthParseError { what: "n", at: 0 })?,
-            interval_ns: get_u64(&meta, "interval_ns")?,
-            backend: get_str(&meta, "backend")?.to_string(),
+            interval_ns: get_u64(meta, "interval_ns")?,
+            backend: get_str(meta, "backend")?.to_string(),
         }));
     }
-    let at_ns = get_u64(&fields, "at_ns")?;
-    let node = get_node(&fields)?;
-    if let Ok(name) = get_str(&fields, "watchdog") {
+    let at_ns = get_u64(&v, "at_ns")?;
+    let node = get_node(&v)?;
+    if let Ok(name) = get_str(&v, "watchdog") {
         let kind = WatchdogKind::from_name(name)
             .ok_or(HealthParseError { what: "known watchdog", at: 0 })?;
         return Ok(HealthLine::Firing(WatchdogFiring {
             kind,
             at_ns,
             node,
-            value: get_u64(&fields, "value")?,
+            value: get_u64(&v, "value")?,
         }));
     }
     Ok(HealthLine::Snapshot(MetricsSnapshot {
         at_ns,
         node,
-        counters: counters_of(get(&fields, "counters")?)?,
+        counters: counters_of(field(&v, "counters")?)?,
     }))
 }
 
@@ -419,11 +266,17 @@ mod tests {
             node: None,
             value: 2,
         }];
-        let text = write_health_jsonl(&sample_meta(), &snapshots, &firings);
-        let (meta, s2, f2) = parse_health_jsonl(&text).expect("roundtrip parses");
-        assert_eq!(meta, sample_meta());
-        assert_eq!(s2, snapshots);
-        assert_eq!(f2, firings);
+        for exp in ["w6_health", "ε-sweep\tx\r\u{1}"] {
+            let meta = HealthMeta {
+                exp: exp.to_string(),
+                ..sample_meta()
+            };
+            let text = write_health_jsonl(&meta, &snapshots, &firings);
+            let (m2, s2, f2) = parse_health_jsonl(&text).expect("roundtrip parses");
+            assert_eq!(m2, meta);
+            assert_eq!(s2, snapshots);
+            assert_eq!(f2, firings);
+        }
     }
 
     #[test]
@@ -441,5 +294,7 @@ mod tests {
         assert!(parse_health_line("{\"at_ns\":1").is_err());
         assert!(parse_health_line("{\"at_ns\":1,\"node\":0,\"watchdog\":\"nope\",\"value\":1}").is_err());
         assert!(parse_health_jsonl("{\"at_ns\":1,\"node\":null,\"counters\":[]}\n").is_err());
+        assert!(parse_health_line("{\"at_ns\":1,\"node\":-1,\"counters\":[]}").is_err());
+        assert!(parse_health_line("{\"at_ns\":1,\"node\":null,\"counters\":[[\"decided\"]]}").is_err());
     }
 }

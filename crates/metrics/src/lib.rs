@@ -19,10 +19,10 @@
 //!   `TS + ε + 3τ + 5δ`, checked the moment a decision commits), the
 //!   anchor-churn detector, the stall detector, and the shard-imbalance
 //!   watch reusing the rebalance trigger's load ratios.
-//! * **`HEALTH_*.jsonl`** — a documented JSONL export ([`jsonl`]) with a
-//!   hand-rolled parser (the vendored offline `serde_json` serializes
-//!   only), rendered into a cluster-status report ([`render_report`])
-//!   by `crates/check`'s `health_check` binary.
+//! * **`HEALTH_*.jsonl`** — a documented JSONL export ([`jsonl`]),
+//!   parsed through the vendored `serde_json::Value` and rendered into
+//!   a cluster-status report ([`render_report`]) by `crates/check`'s
+//!   `health_check` binary.
 //!
 //! The latency histogram machinery the registry's future gauges summarize
 //! with lives in `esync-trace` ([`LatencyHistogram`], [`HistogramSummary`]

@@ -351,7 +351,6 @@ pub struct World<P: Protocol> {
     /// Reused outbox: one action buffer for the whole run instead of one
     /// allocation per event.
     scratch: Outbox<P::Msg>,
-    trace: Option<Vec<String>>,
     /// The typed trace collector ([`World::enable_typed_trace`]); the
     /// scratch outbox's tracing flag is on exactly while this is `Some`.
     typed_trace: Option<esync_trace::TraceBuffer>,
@@ -384,7 +383,6 @@ impl<P: Protocol> World<P> {
             events: 0,
             commits: Vec::new(),
             scratch: Outbox::default(),
-            trace: None,
             typed_trace: None,
             metrics: None,
         };
@@ -412,8 +410,8 @@ impl<P: Protocol> World<P> {
     /// per seed instead of rebuilding it; the run is bit-identical to one
     /// on a newly constructed `World::new(cfg, protocol)`
     /// (`reset_is_bit_identical_to_fresh_construction` enforces this).
-    /// The protocol factory is kept; trace recording stays enabled if it
-    /// was.
+    /// The protocol factory is kept; tracing and metering stay enabled
+    /// if they were.
     pub fn reset(&mut self, cfg: SimConfig) {
         self.queue.reset(Self::width_shift(&cfg), Self::queue_cap(&cfg));
         self.rng = ChaCha8Rng::seed_from_u64(cfg.seed);
@@ -428,9 +426,6 @@ impl<P: Protocol> World<P> {
         self.msgs_dropped = 0;
         self.events = 0;
         self.commits.clear();
-        if let Some(trace) = self.trace.as_mut() {
-            trace.clear();
-        }
         if let Some(tt) = self.typed_trace.as_mut() {
             tt.clear();
         }
@@ -515,25 +510,13 @@ impl<P: Protocol> World<P> {
         }
     }
 
-    /// Starts recording a human-readable line per processed event
-    /// (delivers, timer fires, boots, crashes). Expensive; for debugging
-    /// and small runs.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// The recorded trace, if [`World::enable_trace`] was called.
-    pub fn trace(&self) -> &[String] {
-        self.trace.as_deref().unwrap_or(&[])
-    }
-
     /// Starts collecting typed protocol trace events
     /// ([`esync_core::trace::TraceEvent`]) into a bounded ring of `cap`
     /// records, each stamped with the simulated instant of the emitting
     /// event. Tracing never alters protocol behaviour — a traced run's
     /// actions, messages and metrics are bit-identical to an untraced
     /// one — and stays enabled across [`World::reset`] (the buffer is
-    /// cleared), mirroring the string trace.
+    /// cleared).
     ///
     /// # Panics
     ///
@@ -568,7 +551,7 @@ impl<P: Protocol> World<P> {
     /// behaviour — a metered run's actions, messages and report are
     /// bit-identical to an unmetered one (`tests/metrics_smoke.rs`) —
     /// and stays enabled across [`World::reset`] (series cleared,
-    /// watchdog windows re-based), mirroring the traces.
+    /// watchdog windows re-based), like the typed trace.
     ///
     /// # Panics
     ///
@@ -800,9 +783,6 @@ impl<P: Protocol> World<P> {
         }
         self.now = ev.at;
         self.events += 1;
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(format!("{} {:?}", ev.at, ev.kind));
-        }
         match ev.kind {
             EventKind::Boot { pid } => self.on_boot(pid),
             EventKind::Crash { pid } => self.on_crash(pid),

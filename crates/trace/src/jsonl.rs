@@ -1,6 +1,6 @@
 //! The `TRACE_*.jsonl` format: one JSON object per line, a `meta` header
-//! line followed by flat record lines — and a hand-rolled parser for it
-//! (the vendored offline `serde_json` serializes only).
+//! line followed by flat record lines — and its parser, which reads each
+//! line through the vendored `serde_json::Value`.
 //!
 //! ## Schema
 //!
@@ -16,8 +16,8 @@
 //! parse as 0.
 //!
 //! Every following line is one [`TraceRecord`]: the stamp, the emitting
-//! process, the event `kind` (the labels of
-//! [`TraceEvent::kind`]), and the kind's payload fields, all
+//! process, the event `kind` (the [`Metric::name`] of the event's
+//! [`TraceEvent::metric`]), and the kind's payload fields, all
 //! integer-valued:
 //!
 //! ```json
@@ -38,14 +38,18 @@
 //! ends — so same-seed simulator runs produce byte-identical files.
 
 use crate::buffer::TraceRecord;
+use esync_core::metrics::Metric;
 use esync_core::trace::TraceEvent;
 use esync_core::types::ProcessId;
+use serde::{Serialize, Serializer};
+use serde_json::Value;
 use std::fmt;
 use std::fmt::Write as _;
 
 /// The run header of a trace file: enough context to validate the
 /// paper's decision bound without the artifact that produced the trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Serialized in field order, which is the header's key order.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TraceMeta {
     /// The experiment (or test) name the trace belongs to.
     pub exp: String,
@@ -101,28 +105,14 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders the header line (no trailing newline).
 pub fn meta_line(meta: &TraceMeta) -> String {
-    let mut out = String::with_capacity(128);
-    out.push_str("{\"meta\":{\"exp\":\"");
-    escape_into(&mut out, &meta.exp);
-    let _ = write!(
-        out,
-        "\",\"seed\":{},\"n\":{},\"delta_ns\":{},\"epsilon_ns\":{},\"ts_ns\":{},\"bound_ns\":{},\"dropped\":{}}}}}",
-        meta.seed, meta.n, meta.delta_ns, meta.epsilon_ns, meta.ts_ns, meta.bound_ns, meta.dropped
-    );
-    out
+    let mut s = Serializer::new();
+    s.begin_map();
+    s.key("meta");
+    meta.serialize(&mut s);
+    s.end_map();
+    s.finish()
 }
 
 /// Renders one record line (no trailing newline). Key order is fixed:
@@ -185,194 +175,85 @@ pub fn write_jsonl<'a>(
     out
 }
 
-// ---- parsing (hand-rolled: the vendored serde_json cannot parse) ----
+// ---- parsing ----
 
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Num(u64),
-    Str(String),
-    Obj(Vec<(String, Val)>),
+fn field<'v>(v: &'v Value, key: &'static str) -> Result<&'v Value, ParseError> {
+    v.get(key).ok_or(ParseError { what: key, at: 0 })
 }
 
-struct Scanner<'a> {
-    s: &'a [u8],
-    at: usize,
+fn get_u64(v: &Value, key: &'static str) -> Result<u64, ParseError> {
+    field(v, key)?.as_u64().ok_or(ParseError { what: key, at: 0 })
 }
 
-impl<'a> Scanner<'a> {
-    fn err<T>(&self, what: &'static str) -> Result<T, ParseError> {
-        Err(ParseError { what, at: self.at })
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.at).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.at += 1;
-        Some(b)
-    }
-
-    fn expect(&mut self, b: u8, what: &'static str) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            self.err(what)
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"', "string")?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    _ => return self.err("escape"),
-                },
-                Some(b) => out.push(b as char),
-                None => return self.err("closing quote"),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, ParseError> {
-        let start = self.at;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.at += 1;
-        }
-        if self.at == start {
-            return self.err("number");
-        }
-        std::str::from_utf8(&self.s[start..self.at])
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .ok_or(ParseError {
-                what: "u64 in range",
-                at: start,
-            })
-    }
-
-    fn value(&mut self) -> Result<Val, ParseError> {
-        match self.peek() {
-            Some(b'"') => Ok(Val::Str(self.string()?)),
-            Some(b'{') => Ok(Val::Obj(self.object()?)),
-            Some(b) if b.is_ascii_digit() => Ok(Val::Num(self.number()?)),
-            _ => self.err("value"),
-        }
-    }
-
-    fn object(&mut self) -> Result<Vec<(String, Val)>, ParseError> {
-        self.expect(b'{', "object")?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(fields);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':', "colon")?;
-            fields.push((key, self.value()?));
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(fields),
-                _ => return self.err("comma or closing brace"),
-            }
-        }
-    }
+fn get_u32(v: &Value, key: &'static str) -> Result<u32, ParseError> {
+    u32::try_from(get_u64(v, key)?).map_err(|_| ParseError { what: key, at: 0 })
 }
 
-fn get<'v>(fields: &'v [(String, Val)], key: &'static str) -> Result<&'v Val, ParseError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or(ParseError { what: key, at: 0 })
+fn get_str<'v>(v: &'v Value, key: &'static str) -> Result<&'v str, ParseError> {
+    field(v, key)?.as_str().ok_or(ParseError { what: key, at: 0 })
 }
 
-fn get_u64(fields: &[(String, Val)], key: &'static str) -> Result<u64, ParseError> {
-    match get(fields, key)? {
-        Val::Num(n) => Ok(*n),
-        _ => Err(ParseError { what: key, at: 0 }),
-    }
-}
-
-fn get_str<'v>(fields: &'v [(String, Val)], key: &'static str) -> Result<&'v str, ParseError> {
-    match get(fields, key)? {
-        Val::Str(s) => Ok(s),
-        _ => Err(ParseError { what: key, at: 0 }),
-    }
-}
-
-fn get_u32(fields: &[(String, Val)], key: &'static str) -> Result<u32, ParseError> {
-    u32::try_from(get_u64(fields, key)?).map_err(|_| ParseError { what: key, at: 0 })
-}
-
-fn event_of(fields: &[(String, Val)]) -> Result<TraceEvent, ParseError> {
-    let kind = get_str(fields, "kind")?;
+fn event_of(v: &Value) -> Result<TraceEvent, ParseError> {
+    let unknown = ParseError { what: "known kind", at: 0 };
+    let kind = Metric::from_name(get_str(v, "kind")?).ok_or(unknown)?;
     Ok(match kind {
-        "1a_sent" => TraceEvent::OneASent {
-            ballot: get_u64(fields, "ballot")?,
+        Metric::OneASent => TraceEvent::OneASent {
+            ballot: get_u64(v, "ballot")?,
         },
-        "promise_quorum" => TraceEvent::PromiseQuorum {
-            ballot: get_u64(fields, "ballot")?,
+        Metric::PromiseQuorum => TraceEvent::PromiseQuorum {
+            ballot: get_u64(v, "ballot")?,
         },
-        "anchored" => TraceEvent::Anchored {
-            ballot: get_u64(fields, "ballot")?,
+        Metric::Anchored => TraceEvent::Anchored {
+            ballot: get_u64(v, "ballot")?,
         },
-        "unanchored" => TraceEvent::Unanchored {
-            ballot: get_u64(fields, "ballot")?,
+        Metric::Unanchored => TraceEvent::Unanchored {
+            ballot: get_u64(v, "ballot")?,
         },
-        "submit" => TraceEvent::Submit {
-            value: get_u64(fields, "value")?,
+        Metric::Submitted => TraceEvent::Submit {
+            value: get_u64(v, "value")?,
         },
-        "forward" => TraceEvent::ForwardSent {
-            value: get_u64(fields, "value")?,
+        Metric::Forwarded => TraceEvent::ForwardSent {
+            value: get_u64(v, "value")?,
         },
-        "admitted" => TraceEvent::Admitted {
-            shard: get_u32(fields, "shard")?,
-            value: get_u64(fields, "value")?,
+        Metric::Admitted => TraceEvent::Admitted {
+            shard: get_u32(v, "shard")?,
+            value: get_u64(v, "value")?,
         },
-        "proposed" => TraceEvent::Proposed {
-            shard: get_u32(fields, "shard")?,
-            slot: get_u64(fields, "slot")?,
-            value: get_u64(fields, "value")?,
+        Metric::Proposed => TraceEvent::Proposed {
+            shard: get_u32(v, "shard")?,
+            slot: get_u64(v, "slot")?,
+            value: get_u64(v, "value")?,
         },
-        "chosen" => TraceEvent::Chosen {
-            shard: get_u32(fields, "shard")?,
-            slot: get_u64(fields, "slot")?,
+        Metric::Chosen => TraceEvent::Chosen {
+            shard: get_u32(v, "shard")?,
+            slot: get_u64(v, "slot")?,
         },
-        "decided" => TraceEvent::Decided {
-            shard: get_u32(fields, "shard")?,
-            slot: get_u64(fields, "slot")?,
-            value: get_u64(fields, "value")?,
+        Metric::Decided => TraceEvent::Decided {
+            shard: get_u32(v, "shard")?,
+            slot: get_u64(v, "slot")?,
+            value: get_u64(v, "value")?,
         },
-        "reply" => TraceEvent::ReplySent {
-            shard: get_u32(fields, "shard")?,
-            value: get_u64(fields, "value")?,
+        Metric::Replied => TraceEvent::ReplySent {
+            shard: get_u32(v, "shard")?,
+            value: get_u64(v, "value")?,
         },
-        "rb_freeze" => TraceEvent::RebalanceFreeze {
-            epoch: get_u64(fields, "epoch")?,
+        Metric::RebalanceFreeze => TraceEvent::RebalanceFreeze {
+            epoch: get_u64(v, "epoch")?,
         },
-        "rb_drain" => TraceEvent::RebalanceDrain {
-            epoch: get_u64(fields, "epoch")?,
+        Metric::RebalanceDrain => TraceEvent::RebalanceDrain {
+            epoch: get_u64(v, "epoch")?,
         },
-        "rb_commit" => TraceEvent::RebalanceCommit {
-            epoch: get_u64(fields, "epoch")?,
+        Metric::RebalanceCommit => TraceEvent::RebalanceCommit {
+            epoch: get_u64(v, "epoch")?,
         },
-        "rb_reforward" => TraceEvent::RebalanceReforward {
-            epoch: get_u64(fields, "epoch")?,
-            count: get_u64(fields, "count")?,
+        Metric::RebalanceReforward => TraceEvent::RebalanceReforward {
+            epoch: get_u64(v, "epoch")?,
+            count: get_u64(v, "count")?,
         },
-        "rb_abort" => TraceEvent::RebalanceAbort {
-            epoch: get_u64(fields, "epoch")?,
+        Metric::RebalanceAbort => TraceEvent::RebalanceAbort {
+            epoch: get_u64(v, "epoch")?,
         },
-        _ => return Err(ParseError { what: "known kind", at: 0 }),
+        Metric::TraceDropped => return Err(unknown),
     })
 }
 
@@ -383,31 +264,27 @@ fn event_of(fields: &[(String, Val)]) -> Result<TraceEvent, ParseError> {
 /// Returns [`ParseError`] for malformed JSON, unknown kinds, or missing
 /// payload fields.
 pub fn parse_line(line: &str) -> Result<Line, ParseError> {
-    let mut sc = Scanner {
-        s: line.trim_end().as_bytes(),
-        at: 0,
-    };
-    let fields = sc.object()?;
-    if sc.at != sc.s.len() {
-        return sc.err("end of line");
-    }
-    if let Ok(Val::Obj(meta)) = get(&fields, "meta").cloned() {
+    let v: Value = line.trim_end().parse().map_err(|e: serde_json::Error| ParseError {
+        what: "valid JSON",
+        at: e.column() - 1,
+    })?;
+    if let Some(meta) = v.get("meta") {
         return Ok(Line::Meta(TraceMeta {
-            exp: get_str(&meta, "exp")?.to_string(),
-            seed: get_u64(&meta, "seed")?,
-            n: get_u32(&meta, "n")?,
-            delta_ns: get_u64(&meta, "delta_ns")?,
-            epsilon_ns: get_u64(&meta, "epsilon_ns")?,
-            ts_ns: get_u64(&meta, "ts_ns")?,
-            bound_ns: get_u64(&meta, "bound_ns")?,
+            exp: get_str(meta, "exp")?.to_string(),
+            seed: get_u64(meta, "seed")?,
+            n: get_u32(meta, "n")?,
+            delta_ns: get_u64(meta, "delta_ns")?,
+            epsilon_ns: get_u64(meta, "epsilon_ns")?,
+            ts_ns: get_u64(meta, "ts_ns")?,
+            bound_ns: get_u64(meta, "bound_ns")?,
             // Pre-v7 files have no dropped count; absent means none.
-            dropped: get_u64(&meta, "dropped").unwrap_or(0),
+            dropped: get_u64(meta, "dropped").unwrap_or(0),
         }));
     }
     Ok(Line::Record(TraceRecord {
-        at_ns: get_u64(&fields, "at_ns")?,
-        pid: ProcessId::new(get_u32(&fields, "pid")?),
-        ev: event_of(&fields)?,
+        at_ns: get_u64(&v, "at_ns")?,
+        pid: ProcessId::new(get_u32(&v, "pid")?),
+        ev: event_of(&v)?,
     }))
 }
 
@@ -522,11 +399,14 @@ mod tests {
     #[test]
     fn exp_names_are_escaped() {
         let mut meta = sample_meta();
-        meta.exp = "odd \"name\"\\with\nnoise".to_string();
-        let line = meta_line(&meta);
-        match parse_line(&line).expect("escaped header parses") {
-            Line::Meta(m) => assert_eq!(m, meta),
-            other => panic!("expected meta, got {other:?}"),
+        for exp in ["odd \"name\"\\with\nnoise", "ε-sweep\tx\r\u{1}"] {
+            meta.exp = exp.to_string();
+            let line = meta_line(&meta);
+            assert!(!line.contains(['\t', '\r', '\u{1}']), "raw control character in {line:?}");
+            match parse_line(&line).expect("escaped header parses") {
+                Line::Meta(m) => assert_eq!(m, meta),
+                other => panic!("expected meta, got {other:?}"),
+            }
         }
     }
 }

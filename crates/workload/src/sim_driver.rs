@@ -34,9 +34,9 @@ pub struct SimWorkloadOutcome {
     /// agree and are nonzero).
     pub router_epochs: Vec<u64>,
     /// The typed trace collected during the drive, stamped in simulated
-    /// nanoseconds. Empty unless the run was traced (the `_traced`
-    /// entry points, or a caller-prepared world with
-    /// [`World::enable_typed_trace`]).
+    /// nanoseconds. Empty unless the run was traced (a caller-prepared
+    /// world with [`World::enable_typed_trace`]; see
+    /// [`run_closed_loop_on`]).
     pub trace: Vec<esync_trace::TraceRecord>,
 }
 
@@ -97,38 +97,6 @@ where
     P: Protocol,
     P::Process: ShardedLogView,
 {
-    run_open_loop_inner(cfg, protocol, horizon, None)
-}
-
-/// [`run_open_loop`] with typed tracing enabled: every process's
-/// [`TraceEvent`](esync_core::trace::TraceEvent)s are collected (into a
-/// ring of `trace_capacity` records) and the summary's
-/// `phase_latency` decomposition is attached. Tracing is observational
-/// only, so apart from the extra fields the outcome is bit-identical to
-/// the untraced run.
-pub fn run_open_loop_traced<P>(
-    cfg: SimConfig,
-    protocol: P,
-    horizon: SimTime,
-    trace_capacity: usize,
-) -> SimWorkloadOutcome
-where
-    P: Protocol,
-    P::Process: ShardedLogView,
-{
-    run_open_loop_inner(cfg, protocol, horizon, Some(trace_capacity))
-}
-
-fn run_open_loop_inner<P>(
-    cfg: SimConfig,
-    protocol: P,
-    horizon: SimTime,
-    trace_capacity: Option<usize>,
-) -> SimWorkloadOutcome
-where
-    P: Protocol,
-    P::Process: ShardedLogView,
-{
     let n = cfg.timing.n();
     let spec_window = default_timeline_window(&cfg);
     let mut collector = Collector::new(Some(cfg.ts.as_nanos()), spec_window);
@@ -143,9 +111,6 @@ where
         }
     }
     let mut world = World::new(cfg, protocol);
-    if let Some(cap) = trace_capacity {
-        world.enable_typed_trace(cap);
-    }
     world.run_until(horizon);
     for c in world.commits() {
         collector.on_commit(c.pid, c.shard, c.value, c.at.as_nanos());
@@ -246,87 +211,6 @@ where
     run_closed_loop_on(&mut world, spec, horizon)
 }
 
-/// [`run_closed_loop`] with typed tracing enabled from before the warmup
-/// (so anchor-establishment events are captured too); see
-/// [`run_open_loop_traced`] for the tracing contract.
-pub fn run_closed_loop_traced<P>(
-    cfg: SimConfig,
-    protocol: P,
-    spec: &ClosedLoopSpec,
-    warmup: SimTime,
-    horizon: SimTime,
-    trace_capacity: usize,
-) -> SimWorkloadOutcome
-where
-    P: Protocol,
-    P::Process: ShardedLogView,
-{
-    let mut world = World::new(cfg, protocol);
-    world.enable_typed_trace(trace_capacity);
-    world.run_until(warmup);
-    run_closed_loop_on(&mut world, spec, horizon)
-}
-
-/// [`run_closed_loop`] with always-on metering enabled from before the
-/// warmup: the world samples a cluster-wide [`MetricsSnapshot`] every
-/// `interval` of simulated time, evaluates the online watchdogs on each,
-/// and the outcome's summary carries the whole series in its `health`
-/// section (schema v7). Metering shares tracing's sans-IO seam, so apart
-/// from the extra field the outcome is bit-identical to the unmetered
-/// run.
-///
-/// [`MetricsSnapshot`]: esync_metrics::MetricsSnapshot
-pub fn run_closed_loop_metered<P>(
-    cfg: SimConfig,
-    protocol: P,
-    spec: &ClosedLoopSpec,
-    warmup: SimTime,
-    horizon: SimTime,
-    interval: esync_core::time::RealDuration,
-    watchdogs: esync_metrics::WatchdogConfig,
-) -> SimWorkloadOutcome
-where
-    P: Protocol,
-    P::Process: ShardedLogView,
-{
-    let mut world = World::new(cfg, protocol);
-    world.enable_metrics(interval, watchdogs);
-    world.run_until(warmup);
-    run_closed_loop_on(&mut world, spec, horizon)
-}
-
-/// [`run_open_loop`] with always-on metering; see
-/// [`run_closed_loop_metered`] for the metering contract.
-pub fn run_open_loop_metered<P>(
-    cfg: SimConfig,
-    protocol: P,
-    horizon: SimTime,
-    interval: esync_core::time::RealDuration,
-    watchdogs: esync_metrics::WatchdogConfig,
-) -> SimWorkloadOutcome
-where
-    P: Protocol,
-    P::Process: ShardedLogView,
-{
-    let n = cfg.timing.n();
-    let spec_window = default_timeline_window(&cfg);
-    let mut collector = Collector::new(Some(cfg.ts.as_nanos()), spec_window);
-    collector.reserve_shards(protocol.shard_count());
-    for stream in &cfg.scenario.streams {
-        for (at, _, value) in stream.expand(n) {
-            collector.on_submit(value, at.as_nanos());
-        }
-    }
-    let mut world = World::new(cfg, protocol);
-    world.enable_metrics(interval, watchdogs);
-    world.run_until(horizon);
-    for c in world.commits() {
-        collector.on_commit(c.pid, c.shard, c.value, c.at.as_nanos());
-    }
-    collector.set_shard_loads(&shard_loads(&world));
-    finish(collector, &mut world)
-}
-
 /// [`run_closed_loop`] over a caller-prepared world: the world has
 /// already been constructed and warmed up (and may carry injected
 /// events — this is the reuse point for fault drives that pick a victim
@@ -334,6 +218,14 @@ where
 /// crashing whichever process anchored). Exactly the canonical
 /// closed-loop drive: any future change to the loop is shared by the
 /// experiments and the fault scenarios.
+///
+/// This is also how a drive is observed: enable
+/// [`World::enable_typed_trace`] and/or [`World::enable_metrics`] on the
+/// world before the warmup (so anchor establishment is captured too),
+/// and the outcome carries the trace (plus the summary's
+/// `phase_latency` decomposition) and the summary's `health` section.
+/// Observation never alters the run, so apart from those fields the
+/// outcome is bit-identical to the unobserved drive.
 pub fn run_closed_loop_on<P>(
     world: &mut World<P>,
     spec: &ClosedLoopSpec,
@@ -525,14 +417,12 @@ mod tests {
     fn traced_run_measures_phases_without_perturbing_the_run() {
         let spec = ClosedLoopSpec::new(3, 2, 40).seed(1);
         let run = |traced| {
-            let cfg = stable_cfg(3, 1);
-            let warmup = SimTime::from_millis(500);
-            let horizon = SimTime::from_secs(60);
+            let mut world = World::new(stable_cfg(3, 1), MultiPaxos::new());
             if traced {
-                run_closed_loop_traced(cfg, MultiPaxos::new(), &spec, warmup, horizon, 1 << 16)
-            } else {
-                run_closed_loop(cfg, MultiPaxos::new(), &spec, warmup, horizon)
+                world.enable_typed_trace(1 << 16);
             }
+            world.run_until(SimTime::from_millis(500));
+            run_closed_loop_on(&mut world, &spec, SimTime::from_secs(60))
         };
         let plain = run(false);
         let traced = run(true);
@@ -555,22 +445,15 @@ mod tests {
     fn metered_run_attaches_health_without_perturbing_the_run() {
         let spec = ClosedLoopSpec::new(3, 2, 40).seed(1);
         let run = |metered| {
-            let cfg = stable_cfg(3, 1);
-            let warmup = SimTime::from_millis(500);
-            let horizon = SimTime::from_secs(60);
+            let mut world = World::new(stable_cfg(3, 1), MultiPaxos::new());
             if metered {
-                run_closed_loop_metered(
-                    cfg,
-                    MultiPaxos::new(),
-                    &spec,
-                    warmup,
-                    horizon,
+                world.enable_metrics(
                     esync_core::time::RealDuration::from_millis(50),
                     esync_metrics::WatchdogConfig::default(),
-                )
-            } else {
-                run_closed_loop(cfg, MultiPaxos::new(), &spec, warmup, horizon)
+                );
             }
+            world.run_until(SimTime::from_millis(500));
+            run_closed_loop_on(&mut world, &spec, SimTime::from_secs(60))
         };
         let plain = run(false);
         let metered = run(true);

@@ -14,7 +14,9 @@
 //!    first decision, and crashing the anchored leader mid-drive trips
 //!    both the anchor-churn and stall detectors.
 
+use esync::core::metrics::{Metric, METRIC_COUNT};
 use esync::core::outbox::Process;
+use esync::core::paxos::group::LogGroup;
 use esync::core::paxos::multi::MultiPaxos;
 use esync::core::paxos::session::SessionPaxos;
 use esync::core::types::ProcessId;
@@ -39,15 +41,10 @@ fn sim_cfg(seed: u64) -> SimConfig {
 
 fn metered_outcome(seed: u64) -> sim_driver::SimWorkloadOutcome {
     let spec = ClosedLoopSpec::new(3, 2, COMMANDS).seed(seed);
-    sim_driver::run_closed_loop_metered(
-        sim_cfg(seed),
-        MultiPaxos::new(),
-        &spec,
-        SimTime::from_millis(500),
-        SimTime::from_secs(60),
-        INTERVAL,
-        WatchdogConfig::default(),
-    )
+    let mut world = World::new(sim_cfg(seed), MultiPaxos::new());
+    world.enable_metrics(INTERVAL, WatchdogConfig::default());
+    world.run_until(SimTime::from_millis(500));
+    sim_driver::run_closed_loop_on(&mut world, &spec, SimTime::from_secs(60))
 }
 
 #[test]
@@ -308,4 +305,68 @@ fn crashing_the_anchor_trips_churn_and_stall() {
     let (again, leader2) = run();
     assert_eq!(leader2, leader);
     assert_eq!(again, firings, "watchdog firings are deterministic");
+}
+
+/// The per-kind counts of `records`, in registry order: what the
+/// counters must read when every instrument point feeds both channels.
+fn counts_of<'a>(records: impl IntoIterator<Item = &'a esync::trace::TraceRecord>) -> [u64; METRIC_COUNT] {
+    let mut counts = [0u64; METRIC_COUNT];
+    for r in records {
+        counts[r.ev.metric() as usize] += 1;
+    }
+    counts
+}
+
+#[test]
+fn counters_equal_trace_counts_on_the_simulator() {
+    // One traced and metered drive through the sharded group (so the
+    // dispatch seam's hand-off is covered too), with a ring that drops
+    // nothing: the last snapshot must equal the trace's per-kind counts
+    // up to its stamp.
+    let spec = ClosedLoopSpec::new(3, 2, COMMANDS).seed(5);
+    let mut world = World::new(sim_cfg(5), LogGroup::new(2));
+    world.enable_typed_trace(1 << 16);
+    world.enable_metrics(INTERVAL, WatchdogConfig::default());
+    world.run_until(SimTime::from_millis(500));
+    let out = sim_driver::run_closed_loop_on(&mut world, &spec, SimTime::from_secs(60));
+    assert_eq!(out.summary.committed, COMMANDS);
+    let health = out.summary.health.expect("metered run attaches health");
+    assert_eq!(health.trace_dropped, 0, "the ring must hold the whole drive");
+    let last = health.snapshots.last().expect("cadence produced samples");
+    let upto = out.trace.iter().filter(|r| r.at_ns <= last.at_ns);
+    assert_eq!(last.counters, counts_of(upto));
+    assert!(last.counter(Metric::Decided) > 0, "the comparison is not vacuous");
+}
+
+#[test]
+fn counters_equal_trace_counts_on_the_runtime() {
+    // Per node: the final snapshot (taken at node exit) must equal the
+    // per-kind counts of that node's whole trace.
+    let cfg = esync::runtime::ClusterConfig::new(3)
+        .delta(Duration::from_millis(5))
+        .seed(7)
+        .tracing(1 << 16)
+        .metrics(Duration::from_millis(20));
+    let spec = ClosedLoopSpec::new(3, 2, COMMANDS).seed(7);
+    let out = rt_driver::run_closed_loop(
+        cfg,
+        LogGroup::new(2),
+        &spec,
+        Duration::from_millis(300),
+        Duration::from_secs(30),
+    )
+    .expect("threaded workload completes");
+    assert_eq!(out.summary.committed, COMMANDS);
+    let health = out.summary.health.expect("runtime collection works");
+    assert_eq!(health.trace_dropped, 0, "the rings must hold the whole run");
+    for pid in 0..3u32 {
+        let last = health
+            .snapshots
+            .iter()
+            .rfind(|s| s.node == Some(pid))
+            .expect("every node ships a final snapshot");
+        let node_trace = out.trace.iter().filter(|r| r.pid.as_u32() == pid);
+        assert_eq!(last.counters, counts_of(node_trace), "node {pid}");
+        assert!(last.counter(Metric::Decided) > 0, "node {pid} applied commands");
+    }
 }

@@ -32,14 +32,10 @@ fn sim_cfg(seed: u64) -> SimConfig {
 
 fn traced_outcome(seed: u64) -> sim_driver::SimWorkloadOutcome {
     let spec = ClosedLoopSpec::new(3, 2, COMMANDS).seed(seed);
-    sim_driver::run_closed_loop_traced(
-        sim_cfg(seed),
-        LogGroup::new(2),
-        &spec,
-        SimTime::from_millis(500),
-        SimTime::from_secs(60),
-        1 << 16,
-    )
+    let mut world = World::new(sim_cfg(seed), LogGroup::new(2));
+    world.enable_typed_trace(1 << 16);
+    world.run_until(SimTime::from_millis(500));
+    sim_driver::run_closed_loop_on(&mut world, &spec, SimTime::from_secs(60))
 }
 
 fn meta(seed: u64) -> TraceMeta {
