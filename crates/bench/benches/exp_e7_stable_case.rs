@@ -4,8 +4,8 @@
 //! stable. … our modified version of Paxos can be made to have this same
 //! behavior in the stable case."
 //!
-//! The multi-instance layer anchors one leader (phase 1 once, covering all
-//! slots), then we submit commands and step the simulator until every
+//! The replicated log (`LogGroup::new(1)`) anchors one leader (phase 1
+//! once, covering all slots), then we submit commands and step the simulator until every
 //! process has the command in its log, measuring commit latency in δ.
 //! The shape to verify: ≤ 2δ when submitted at the leader (2a + 2b), ≤ 3δ
 //! when submitted at a follower (forward + 2a + 2b). Inherently serial
@@ -13,7 +13,7 @@
 //! in `BENCH_exp_e7_stable_case.json`.
 
 use esync_bench::{ExperimentArtifact, SweepSummary, Table};
-use esync_core::paxos::multi::MultiPaxos;
+use esync_core::paxos::group::{LogGroup, ShardId};
 use esync_core::time::RealDuration;
 use esync_core::types::{ProcessId, Value};
 use esync_sim::{PreStability, SimConfig, SimTime, World};
@@ -21,10 +21,10 @@ use std::time::Instant;
 
 /// Steps until every process's log contains `value`; returns the commit
 /// time (when the LAST process learns it).
-fn commit_time(world: &mut World<MultiPaxos>, n: usize, value: Value) -> SimTime {
+fn commit_time(world: &mut World<LogGroup>, n: usize, value: Value) -> SimTime {
     loop {
         let all = ProcessId::all(n)
-            .all(|p| world.process(p).log_values().any(|v| v == value));
+            .all(|p| world.process(p).shard(ShardId::ZERO).log_values().any(|v| v == value));
         if all {
             return world.now();
         }
@@ -47,7 +47,7 @@ fn main() {
         .build()
         .expect("valid config");
     let artifact_cfg = cfg.clone();
-    let mut world = World::new(cfg, MultiPaxos::new());
+    let mut world = World::new(cfg, LogGroup::new(1));
     // Let the system anchor a leader.
     world.run_until(SimTime::from_millis(500));
     let leader = ProcessId::all(n)

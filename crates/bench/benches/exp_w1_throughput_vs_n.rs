@@ -16,7 +16,7 @@
 //! (modulo the machine-dependent `wall_secs`).
 
 use esync_bench::{ExperimentArtifact, SweepSummary, Table};
-use esync_core::paxos::multi::MultiPaxos;
+use esync_core::paxos::group::LogGroup;
 use esync_sim::{PreStability, SimConfig, SimTime};
 use esync_workload::gen::ClosedLoopSpec;
 use esync_workload::sim_driver::run_closed_loop;
@@ -59,7 +59,7 @@ fn main() {
             let started = Instant::now();
             let out = run_closed_loop(
                 run_cfg.clone(),
-                MultiPaxos::new().with_batching(batch, WINDOW),
+                LogGroup::new(1).with_batching(batch, WINDOW),
                 &spec,
                 SimTime::from_millis(500),
                 SimTime::from_secs(300),

@@ -13,7 +13,7 @@
 //! `BENCH_exp_w2_load_vs_stability.json` bit-for-bit (modulo `wall_secs`).
 
 use esync_bench::{ExperimentArtifact, SweepSummary, Table};
-use esync_core::paxos::multi::MultiPaxos;
+use esync_core::paxos::group::LogGroup;
 use esync_core::time::RealDuration;
 use esync_sim::scenario::SubmitStream;
 use esync_sim::{PreStability, Scenario, SimConfig, SimTime};
@@ -60,7 +60,7 @@ fn main() {
         let started = Instant::now();
         let out = run_open_loop(
             cfg.clone(),
-            MultiPaxos::new().with_batching(16, 8),
+            LogGroup::new(1).with_batching(16, 8),
             SimTime::from_secs(30),
         );
         let wall = started.elapsed();

@@ -4,7 +4,7 @@
 //! aggregate throughput should scale with the number of *independent*
 //! instances: a closed-loop drive at fixed cluster size `n` against a
 //! [`LogGroup`] of `S ∈ {1, 2, 4, 8}` shards, each shard an independent
-//! `MultiPaxos` with its own anchored pipeline of `W = 4` unchosen slots
+//! replicated log with its own anchored pipeline of `W = 4` unchosen slots
 //! and one command per slot (`B = 1`, so the per-shard ceiling is
 //! `W / RTT` and any lift must come from shard parallelism, not group
 //! commit). Keys are uniform over 1024, routed `kv_key % S`.

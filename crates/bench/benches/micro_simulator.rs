@@ -126,48 +126,49 @@ fn bench_protocol_step(c: &mut Criterion) {
 /// promise paid on *every* reply. The delta between these two entries is
 /// the truncation win.
 fn bench_promise_truncation(c: &mut Criterion) {
-    use esync_core::paxos::multi::{batch_of, MultiMsg, MultiPaxos};
+    use esync_core::paxos::group::{GroupMsg, LogGroup, ShardId};
+    use esync_core::paxos::multi::{batch_of, MultiMsg};
 
     let cfg = TimingConfig::for_n_processes(3).unwrap();
     let build = || {
-        let mut p = MultiPaxos::new().spawn(ProcessId::new(0), &cfg, Value::new(0));
-        let mut out: Outbox<MultiMsg> = Outbox::new(LocalInstant::ZERO);
+        let mut p = LogGroup::new(1).spawn(ProcessId::new(0), &cfg, Value::new(0));
+        let mut out: Outbox<GroupMsg> = Outbox::new(LocalInstant::ZERO);
         p.on_start(&mut out);
         out.drain();
+        let mut deliver = |msg| {
+            let msg = GroupMsg::Shard {
+                shard: ShardId::ZERO,
+                msg,
+            };
+            p.on_message(ProcessId::new(1), &msg, &mut out);
+            out.drain();
+        };
         // 4096 chosen slots (learned decisions), plus an in-flight window
         // of 4 accepted-but-unchosen votes above the prefix.
         for slot in 0..4096u64 {
-            p.on_message(
-                ProcessId::new(1),
-                &MultiMsg::LogDecided {
-                    slot,
-                    batch: batch_of([Value::new(slot)]),
-                },
-                &mut out,
-            );
-            out.drain();
+            deliver(MultiMsg::LogDecided {
+                slot,
+                batch: batch_of([Value::new(slot)]),
+            });
         }
         for slot in 4097..=4100u64 {
-            p.on_message(
-                ProcessId::new(1),
-                &MultiMsg::M2a {
-                    mbal: Ballot::new(4),
-                    slot,
-                    batch: batch_of([Value::new(slot)]),
-                },
-                &mut out,
-            );
-            out.drain();
+            deliver(MultiMsg::M2a {
+                mbal: Ballot::new(4),
+                slot,
+                batch: batch_of([Value::new(slot)]),
+            });
         }
         p
     };
     c.bench_function("promise_reply_log4096_caught_up_caller", |b| {
-        let p = build();
+        let group = build();
+        let p = group.shard(ShardId::ZERO);
         let prefix = p.chosen_prefix();
         b.iter(|| black_box(p.vote_report(prefix).votes.len()));
     });
     c.bench_function("promise_reply_log4096_cold_caller", |b| {
-        let p = build();
+        let group = build();
+        let p = group.shard(ShardId::ZERO);
         b.iter(|| black_box(p.vote_report(0).chosen.len()));
     });
 }
@@ -213,7 +214,7 @@ fn bench_decision_tracker(c: &mut Criterion) {
 /// Compare the two entries in `BENCH_micro.json`; tracing must cost no
 /// more than 5% of the run.
 fn bench_trace_overhead(c: &mut Criterion) {
-    use esync_core::paxos::multi::MultiPaxos;
+    use esync_core::paxos::group::LogGroup;
     use esync_workload::gen::ClosedLoopSpec;
     use esync_workload::sim_driver::run_closed_loop_on;
 
@@ -225,7 +226,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
             .build()
             .unwrap();
         let spec = ClosedLoopSpec::new(4, 4, 120).seed(seed).key_space(1 << 10);
-        let mut world = World::new(cfg, MultiPaxos::new());
+        let mut world = World::new(cfg, LogGroup::new(1));
         if traced {
             world.enable_typed_trace(1 << 18);
         }
@@ -256,7 +257,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
 /// `metrics_overhead_noop` — the "always-on" bar ISSUE 10 sets, gated
 /// by `scripts/bench.sh`.
 fn bench_metrics_overhead(c: &mut Criterion) {
-    use esync_core::paxos::multi::MultiPaxos;
+    use esync_core::paxos::group::LogGroup;
     use esync_core::time::RealDuration;
     use esync_workload::gen::ClosedLoopSpec;
     use esync_workload::sim_driver::run_closed_loop_on;
@@ -269,7 +270,7 @@ fn bench_metrics_overhead(c: &mut Criterion) {
             .build()
             .unwrap();
         let spec = ClosedLoopSpec::new(4, 4, 120).seed(seed).key_space(1 << 10);
-        let mut world = World::new(cfg, MultiPaxos::new());
+        let mut world = World::new(cfg, LogGroup::new(1));
         if metered {
             world.enable_metrics(RealDuration::from_millis(50), esync_metrics::WatchdogConfig::default());
         }

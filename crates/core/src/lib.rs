@@ -10,6 +10,13 @@
 //!   and an `ε`-periodic phase-1a retransmission rule. Every process that is
 //!   nonfaulty at the stabilization time `TS` decides by `TS + ε + 3τ + 5δ`
 //!   (`τ = max(2δ+ε, σ)`), i.e. `TS + O(δ)` — *independent of N*.
+//! * [`paxos::group`] — the §4 construction for a replicated log: "phase
+//!   1 is executed in advance for all instances". One session (ballot,
+//!   session timer, ε tick, 1a/1b exchange) anchors every slot of `S`
+//!   independent logs per process; `LogGroup::new(1)` is the plain
+//!   replicated log. Each log's slots are a [`paxos::multi`] state
+//!   machine the group drives, committing one command batch per 2a/2b
+//!   round trip once anchored.
 //! * [`paxos::traditional`] — classic Paxos driven by a leader-election
 //!   oracle (§2), which the paper shows can take `O(Nδ)` after `TS` when
 //!   obsolete messages carry anomalously high ballot numbers.

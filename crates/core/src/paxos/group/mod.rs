@@ -14,16 +14,15 @@
 //! processes. This module applies the phase-1-in-advance trick **across
 //! shards**:
 //!
-//! * A [`LogGroup`] spawns, per process, a group of `S` *externally
-//!   driven* [`MultiPaxosProcess`] shards
-//!   ([`MultiPaxos::spawn_driven`]): each shard keeps its own log, slot
+//! * A [`LogGroup`] spawns, per process, a group of `S`
+//!   [`MultiPaxosProcess`] shards: each shard keeps its own log, slot
 //!   pipeline, batching and admission dedup, but arms no timers and runs
 //!   no phase 1 of its own.
 //! * The group owns **one ballot, one session timer, one ε tick**. Phase
 //!   1 is a single [`GroupMsg::G1a`]/[`GroupMsg::G1b`] exchange whose 1b
 //!   payload is a [`GroupPromise`] aggregating *every* shard's
-//!   highest-accepted votes; the quorum anchors all `S` shards at once
-//!   ([`MultiPaxosProcess::drive_anchor`]). Idle-period traffic is
+//!   highest-accepted votes; the quorum anchors all `S` shards at once.
+//!   Idle-period traffic is
 //!   therefore independent of `S` (experiment W4 measures this), and a
 //!   leadership change is **one group event**: killing the group anchor
 //!   drops exactly one anchor and one re-election recovers all shards —
@@ -35,12 +34,12 @@
 //! * Client commands are routed by their KV key through a pluggable
 //!   [`ShardRouter`] (default: `kv_key(value) % S`).
 //!
-//! **`S = 1` is bit-identical to the plain [`MultiPaxos`] layer**: the
-//! group's session machinery is the single log's session machinery
-//! hoisted up one level — same timer ids, same suppression and gating
-//! rules, same action order per event, with `G1a`/`G1b` standing in for
-//! `M1a`/`M1b` one for one — so the workload smoke suite asserts equal
-//! `WorkloadSummary`s, event counts and per-kind message counts seed for
+//! **The plain replicated log is `LogGroup::new(1)`**: this module holds
+//! the only implementation of the session machinery (session gating,
+//! the session timer, ε-retransmission, leader-liveness suppression and
+//! the shared phase 1), and with one shard it is exactly the paper's §4
+//! construction. The workload smoke suite pins `S = 1` to golden values
+//! (summary, end instant, event and per-kind message counts) seed for
 //! seed.
 //!
 //! Shards are independent by design: there is **no cross-shard
@@ -63,11 +62,9 @@ pub mod rebalance;
 
 use crate::ballot::{Ballot, Session};
 use crate::config::TimingConfig;
-use crate::outbox::{Action, Outbox, Process, Protocol};
-use crate::paxos::admitted::Admitted;
-use crate::paxos::multi::{
-    batch_of, Batch, BatchVote, MultiMsg, MultiPaxos, MultiPaxosProcess, SlotVote,
-};
+use crate::outbox::{Action, Outbox, Process, Protocol, ShardLoad};
+use crate::paxos::admitted::{Admitted, DEFAULT_ADMITTED_WINDOW};
+use crate::paxos::multi::{batch_of, Batch, BatchVote, MultiMsg, MultiPaxosProcess, VoteReport};
 use rebalance::{
     is_ctrl_value, owner_of, Migration, RebalanceConfig, Rebalancer, RouterUpdate,
 };
@@ -78,53 +75,27 @@ use crate::trace::TraceEvent;
 use crate::types::{kv_key, ProcessId, TimerId, Value};
 use std::collections::BTreeMap;
 
-pub use crate::paxos::multi::{TIMER_EPSILON, TIMER_SESSION};
 pub use crate::types::ShardId;
 
-/// One shard's highest-accepted vote in one slot, in wire form: the batch
-/// is an owned `Vec` (not the in-memory `Arc`-shared [`Batch`]) so the
-/// promise has a self-contained representation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PromisedVote {
-    /// The log slot voted in.
-    pub slot: u64,
-    /// The ballot of the vote (the shard's last vote in this slot).
-    pub bal: Ballot,
-    /// The batch voted for.
-    pub values: Vec<Value>,
-}
-
-/// One shard's slice of a [`GroupPromise`]: the wire form of the plain
-/// layer's truncated [`VoteReport`](crate::paxos::multi::VoteReport) —
-/// the reporter's all-chosen prefix, the chosen entries the 1a caller is
-/// missing, and the live votes at or above the reporter's prefix.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ShardPromise {
-    /// The reporting shard's all-chosen log prefix (slots below it are
-    /// final — the new leader must not propose fresh batches there).
-    pub prefix: u64,
-    /// Chosen entries at or above the caller's prefix, as
-    /// `(slot, values)` (final; the caller's catch-up material).
-    pub chosen: Vec<(u64, Vec<Value>)>,
-    /// Live votes at or above the reporter's prefix, for slots not
-    /// chosen at the reporter.
-    pub votes: Vec<PromisedVote>,
-}
+/// Timer id of the group's session timer (the shared-phase-1 machinery).
+pub const TIMER_SESSION: TimerId = TimerId::new(0);
+/// Timer id of the group's ε-retransmission tick.
+pub const TIMER_EPSILON: TimerId = TimerId::new(1);
 
 /// The phase-1b payload of a group-level session: for each shard of the
 /// promising process, its truncated vote report (chosen catch-up entries
-/// plus live votes — see [`ShardPromise`]). One `GroupPromise` replaces
+/// plus live votes — see [`VoteReport`]). One `GroupPromise` replaces
 /// the `S` separate per-shard `M1b`s of a per-shard-session design; the
 /// ballot owner folds a majority of promises into per-shard chosen and
 /// best-vote maps ([`GroupPromise::fold_into`]) and anchors all shards
 /// from them. Reports are truncated at the all-chosen prefix, so the
 /// promise re-sent on every ε re-announcement is `O(in-flight window)`
 /// per shard, not `O(log length)`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GroupPromise {
     /// Per-shard reports, indexed by shard; `shards.len()` is the
     /// promising process's shard count.
-    pub shards: Vec<ShardPromise>,
+    pub shards: Vec<VoteReport>,
 }
 
 impl GroupPromise {
@@ -138,27 +109,7 @@ impl GroupPromise {
             shards: shards
                 .iter()
                 .enumerate()
-                .map(|(s, p)| {
-                    let caller = prefixes.get(s).copied().unwrap_or(0);
-                    let report = p.vote_report(caller);
-                    ShardPromise {
-                        prefix: report.prefix,
-                        chosen: report
-                            .chosen
-                            .into_iter()
-                            .map(|(slot, batch)| (slot, batch.to_vec()))
-                            .collect(),
-                        votes: report
-                            .votes
-                            .into_iter()
-                            .map(|sv: SlotVote| PromisedVote {
-                                slot: sv.slot,
-                                bal: sv.vote.bal,
-                                values: sv.vote.batch.to_vec(),
-                            })
-                            .collect(),
-                    }
-                })
+                .map(|(s, p)| p.vote_report(prefixes.get(s).copied().unwrap_or(0)))
                 .collect(),
         }
     }
@@ -167,7 +118,9 @@ impl GroupPromise {
     /// pair per shard of the folding group): chosen entries are final
     /// (first report wins — identical by agreement), and for every voted
     /// slot the highest-ballot vote across every promise folded so far
-    /// wins — the leader's phase-1b value-selection rule, per shard.
+    /// wins (a reported vote replaces the current best iff its ballot is
+    /// strictly higher) — the leader's phase-1b value-selection rule, per
+    /// shard.
     /// Reports for shards beyond `best.len()` are ignored (heterogeneous
     /// shard counts are outside the model).
     pub fn fold_into(
@@ -185,18 +138,13 @@ impl GroupPromise {
             .zip(best.iter_mut())
             .zip(self.shards.iter())
         {
-            for (slot, values) in &report.chosen {
-                per_chosen
-                    .entry(*slot)
-                    .or_insert_with(|| batch_of(values.iter().copied()));
+            for (slot, batch) in &report.chosen {
+                per_chosen.entry(*slot).or_insert_with(|| batch.clone());
             }
-            for v in &report.votes {
-                // The shared phase-1b value-selection rule (highest
-                // ballot wins per slot) — the same code path the single
-                // log's 1b quorum runs, so the two layers cannot drift.
-                crate::paxos::multi::fold_best_vote(per_best, v.slot, v.bal, || {
-                    batch_of(v.values.iter().copied())
-                });
+            for sv in &report.votes {
+                if per_best.get(&sv.slot).is_none_or(|b| sv.vote.bal > b.bal) {
+                    per_best.insert(sv.slot, sv.vote.clone());
+                }
             }
         }
     }
@@ -213,8 +161,9 @@ pub enum GroupMsg {
         /// The group ballot being started (or re-announced on ε ticks).
         mbal: Ballot,
         /// The caller's per-shard all-chosen prefixes: repliers truncate
-        /// each shard's report at the matching prefix (the group analogue
-        /// of [`MultiMsg::M1a`]'s `prefix`).
+        /// each shard's report at the matching prefix, which keeps
+        /// steady-state promises `O(in-flight window)` instead of
+        /// `O(log length)`.
         prefixes: Vec<u64>,
     },
     /// Group-level phase 1b: one promise carrying every shard's
@@ -258,10 +207,9 @@ impl GroupMsg {
         }
     }
 
-    /// A short static label for message-count metrics. Group phase-1
-    /// messages share the single-log labels ("1a"/"1b"): one `G1a` is the
-    /// session's one 1a however many shards it anchors — which is exactly
-    /// the amortization experiment W4 counts.
+    /// A short static label for message-count metrics. One `G1a` is the
+    /// session's one "1a" however many shards it anchors — which is
+    /// exactly the amortization experiment W4 counts.
     pub fn kind(&self) -> &'static str {
         match self {
             GroupMsg::G1a { .. } => "1a",
@@ -324,19 +272,23 @@ impl ShardRouter {
 }
 
 /// Protocol factory for a sharded log group: `S` independent
-/// [`MultiPaxos`] logs per process, shard-routed by KV key, anchored
-/// together by one group-level session.
+/// replicated logs ([`MultiPaxosProcess`] shards) per process,
+/// shard-routed by KV key, anchored together by one group-level session.
+/// `LogGroup::new(1)` is the plain replicated log.
 #[derive(Debug, Clone)]
 pub struct LogGroup {
-    inner: MultiPaxos,
+    max_batch: usize,
+    max_outstanding: usize,
+    admitted_window: u64,
     shards: usize,
     router: ShardRouter,
     rebalance: Option<RebalanceConfig>,
 }
 
 impl LogGroup {
-    /// A group of `shards` independent unbatched logs with modulo
-    /// routing.
+    /// A group of `shards` independent logs with modulo routing, batching
+    /// disabled (`max_batch = 1`) and an unbounded pipeline window — the
+    /// classic one-command-per-slot log.
     ///
     /// # Panics
     ///
@@ -344,27 +296,47 @@ impl LogGroup {
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 1, "a log group holds at least one shard");
         LogGroup {
-            inner: MultiPaxos::new(),
+            max_batch: 1,
+            max_outstanding: usize::MAX,
+            admitted_window: DEFAULT_ADMITTED_WINDOW,
             shards,
             router: ShardRouter::Modulo,
             rebalance: None,
         }
     }
 
-    /// Configures every shard's proposer-side batching (see
-    /// [`MultiPaxos::with_batching`]; the pipeline window is per shard,
-    /// so the group's aggregate in-flight capacity is `S · max_outstanding`).
+    /// Enables every shard's proposer-side batching: up to `max_batch`
+    /// commands share a slot, and at most `max_outstanding`
+    /// proposed-but-unchosen slots are in flight per shard (so the
+    /// group's aggregate in-flight capacity is `S · max_outstanding`).
+    /// Commands arriving while the window is full accumulate and leave in
+    /// batches as slots commit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either parameter is zero.
     #[must_use]
     pub fn with_batching(mut self, max_batch: usize, max_outstanding: usize) -> Self {
-        self.inner = self.inner.with_batching(max_batch, max_outstanding);
+        assert!(max_batch >= 1, "a batch holds at least one command");
+        assert!(max_outstanding >= 1, "the pipeline needs at least one slot");
+        self.max_batch = max_batch;
+        self.max_outstanding = max_outstanding;
         self
     }
 
-    /// Configures every shard's admitted-set compaction window (see
-    /// [`MultiPaxos::with_admitted_window`]).
+    /// Sets every shard's admitted-set compaction window: chosen commands
+    /// are remembered (for retry dedup and `Forward`-of-chosen answers)
+    /// until their slot falls `window` slots below the all-chosen log
+    /// prefix (see [`AdmittedSet`](crate::paxos::admitted::AdmittedSet)).
+    /// Defaults to [`DEFAULT_ADMITTED_WINDOW`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
     #[must_use]
     pub fn with_admitted_window(mut self, window: u64) -> Self {
-        self.inner = self.inner.with_admitted_window(window);
+        assert!(window >= 1, "the admitted window keeps at least one slot");
+        self.admitted_window = window;
         self
     }
 
@@ -437,7 +409,15 @@ impl Protocol for LogGroup {
             cfg: *cfg,
             mbal: Ballot::initial(id),
             shards: (0..self.shards)
-                .map(|_| self.inner.spawn_driven(id, cfg))
+                .map(|_| {
+                    MultiPaxosProcess::new(
+                        id,
+                        cfg.n(),
+                        self.max_batch,
+                        self.max_outstanding,
+                        self.admitted_window,
+                    )
+                })
                 .collect(),
             router: self.router.clone(),
             scratch: Outbox::default(),
@@ -456,15 +436,18 @@ impl Protocol for LogGroup {
 }
 
 /// Leader-side aggregation of group promises: **one** quorum tracker for
-/// the whole group, one chosen map and one best-vote map per shard. The
-/// group analogue of the single log's per-election 1b quorum —
-/// short-lived, rebuilt per ballot attempt.
+/// the whole group, one chosen map and one best-vote map per shard.
+/// Short-lived, rebuilt per ballot attempt: the maps stay `BTreeMap`s
+/// sized by the *reported* votes, since a sharded `SlotMap`'s allocation
+/// would cost more than it saves on the election-churn path.
 #[derive(Debug, Clone)]
 struct Group1bQuorum {
     bal: Ballot,
     tracker: QuorumTracker,
     /// Highest reported prefix per shard — each shard's `next_slot`
-    /// floor (see `Multi1bQuorum::max_prefix`).
+    /// floor (every slot below a reporter's prefix is chosen
+    /// *somewhere*), enforced in addition to the shipped chosen entries
+    /// as defense in depth.
     prefixes: Vec<u64>,
     /// Chosen entries reported by the quorum, per shard (final).
     chosen: Vec<BTreeMap<u64, Batch>>,
@@ -511,7 +494,10 @@ pub struct LogGroupProcess {
     /// Reused inner outbox: shard handlers emit untagged actions into it,
     /// and [`LogGroupProcess::dispatch`] maps them into the driver-facing
     /// outbox — one buffer for the process's lifetime, no per-event
-    /// allocation.
+    /// allocation. Shards never read the clock (the group owns every
+    /// timer and the idle stamp), so its clock stays at zero and the
+    /// buffer carries no state between events: the model checker's state
+    /// fingerprint sees only protocol state.
     scratch: Outbox<MultiMsg>,
     /// The in-flight group-promise quorum for a ballot we started.
     p1b: Option<Group1bQuorum>,
@@ -585,8 +571,8 @@ impl LogGroupProcess {
 
     /// Whether this process is the anchored group leader: the shared
     /// phase 1 completed at its ballot, so **all** shards propose with a
-    /// single 2a/2b round trip. The group-level analogue of
-    /// [`MultiPaxosProcess::is_anchored`].
+    /// single 2a/2b round trip (every shard's
+    /// [`MultiPaxosProcess::is_anchored`] agrees).
     pub fn is_anchored(&self) -> bool {
         self.anchored == Some(self.mbal) && self.mbal.owner(self.cfg.n()) == self.id
     }
@@ -663,8 +649,8 @@ impl LogGroupProcess {
     }
 
     /// Adopts a higher group ballot seen in a `G1a` or shard-tagged 2a;
-    /// enters its session if that is higher than ours. Mirrors the single
-    /// log's adopt, with the unanchor fanned out to every shard.
+    /// enters its session if that is higher than ours. The unanchor fans
+    /// out to every shard.
     fn adopt(&mut self, b: Ballot, out: &mut Outbox<GroupMsg>) {
         debug_assert!(b > self.mbal);
         let old_session = self.session();
@@ -743,8 +729,7 @@ impl LogGroupProcess {
     /// messages gain the shard tag and decides the shard id. Action order
     /// is preserved exactly — with `S = 1` the emitted stream is the
     /// inner stream, message for message. A shard's 2a broadcast also
-    /// stamps the group's idle clock, exactly as the single log's
-    /// `propose` does.
+    /// stamps the group's idle clock.
     fn dispatch(
         &mut self,
         shard: ShardId,
@@ -752,7 +737,6 @@ impl LogGroupProcess {
         f: impl FnOnce(&mut MultiPaxosProcess, &mut Outbox<MultiMsg>),
     ) {
         let mut inner = std::mem::take(&mut self.scratch);
-        inner.reset(out.now());
         inner.set_tracing(out.tracing());
         inner.set_metering(out.metering());
         f(&mut self.shards[shard.as_usize()], &mut inner);
@@ -772,7 +756,7 @@ impl LogGroupProcess {
                     out.broadcast(GroupMsg::Shard { shard, msg });
                 }
                 Action::SetTimer { .. } | Action::CancelTimer { .. } => {
-                    debug_assert!(false, "driven shards own no timers");
+                    debug_assert!(false, "shards own no timers");
                 }
                 // The inner layer decides in shard zero; the group knows
                 // which shard actually ran. Control values (router-epoch
@@ -1208,17 +1192,10 @@ impl Process for LogGroupProcess {
                     debug_assert!(false, "message for unknown shard {shard}");
                     return;
                 }
-                if matches!(msg, MultiMsg::M1a { .. } | MultiMsg::M1b { .. }) {
-                    // Phase 1 is group-level; per-shard 1a/1b are not part
-                    // of this protocol.
-                    debug_assert!(false, "per-shard phase-1 message under a group session");
-                    return;
-                }
                 // A higher-ballot 2a is a leadership claim over the whole
                 // group (ballots are group-level): adopt *before* the
-                // shard votes — the same place the single log adopts
-                // inside its 2a arm — so the shard always sees its own
-                // (synced) ballot.
+                // shard votes, so the shard always sees its own (synced)
+                // ballot.
                 if let MultiMsg::M2a { mbal, .. } = msg {
                     if *mbal > self.mbal {
                         self.adopt(*mbal, out);
@@ -1249,9 +1226,14 @@ impl Process for LogGroupProcess {
             }
         }
         self.rebalance_tick(out);
-        // Group-level session bookkeeping, mirroring the single log
-        // (suppression: traffic from the group ballot's owner proves the
-        // leader is alive and defers our takeover).
+        // Group-level session bookkeeping. Leader-liveness suppression
+        // (the paper's "appropriate acknowledgement messages"): a message
+        // from the owner of our current ballot proves the leader is
+        // alive, so we defer our own takeover by resetting the session
+        // timer. The leader's ε-period 1a/2a traffic keeps every follower
+        // suppressed, so the stable case runs one leader indefinitely —
+        // exactly ordinary Paxos. If the leader dies before TS, the
+        // traffic stops and timers expire within σ.
         if let Some(b) = msg.ballot() {
             if b == self.mbal && from == b.owner(self.cfg.n()) && from != self.id {
                 self.timer_expired = false;
@@ -1340,10 +1322,11 @@ impl Process for LogGroupProcess {
         self.rebalance_tick(out);
     }
 
-    /// The single-shot interface reads shard 0 (with `S = 1`, exactly the
-    /// plain layer's decision).
+    /// The replicated log never "terminates"; for the single-shot driver
+    /// interface, the decision is the first command of shard 0's first
+    /// log entry.
     fn decision(&self) -> Option<Value> {
-        self.shards[0].decision()
+        self.shards[0].log_entry(0).and_then(|b| b.first().copied())
     }
 
     /// Group-level leadership: the shared phase 1 completed at our
@@ -1361,15 +1344,15 @@ impl Process for LogGroupProcess {
 
     /// Per-shard load counters, straight from each shard's admission
     /// machinery.
-    fn shard_load(&self, shard: ShardId) -> crate::outbox::ShardLoad {
-        crate::outbox::Process::shard_load(&self.shards[shard.as_usize()], ShardId::ZERO)
+    fn shard_load(&self, shard: ShardId) -> ShardLoad {
+        self.shards[shard.as_usize()].load()
     }
 }
 
 /// Uniform read access to the per-shard chosen logs of a log process —
 /// what backend-agnostic drivers (the `esync-workload` crate) use for
-/// cross-replica agreement checks and merged reads without knowing
-/// whether they drive a plain [`MultiPaxos`] or a [`LogGroup`].
+/// cross-replica agreement checks and merged reads, whatever the shard
+/// count.
 pub trait ShardedLogView {
     /// The number of shards this process runs.
     fn shard_count(&self) -> usize;
@@ -1380,17 +1363,6 @@ pub trait ShardedLogView {
     ///
     /// May panic if `shard` is out of range.
     fn shard_log(&self, shard: ShardId) -> &SlotMap<Batch>;
-}
-
-impl ShardedLogView for MultiPaxosProcess {
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn shard_log(&self, shard: ShardId) -> &SlotMap<Batch> {
-        assert_eq!(shard, ShardId::ZERO, "a plain log has exactly one shard");
-        self.log()
-    }
 }
 
 impl ShardedLogView for LogGroupProcess {
@@ -1407,7 +1379,7 @@ impl ShardedLogView for LogGroupProcess {
 mod tests {
     use super::*;
     use crate::ballot::Ballot;
-    use crate::paxos::multi::batch_of;
+    use crate::paxos::multi::{batch_of, SlotVote};
     use crate::time::LocalInstant;
     use crate::types::kv_command;
 
@@ -1660,14 +1632,10 @@ mod tests {
         assert!(promise.shards[0].chosen.is_empty(), "shard 0 chose nothing");
         assert_eq!(
             promise.shards[1],
-            ShardPromise {
+            VoteReport {
                 prefix: 0,
                 chosen: vec![],
-                votes: vec![PromisedVote {
-                    slot: 3,
-                    bal: Ballot::new(4),
-                    values: vec![Value::new(7)],
-                }],
+                votes: vec![vote(3, 4, 7)],
             }
         );
     }
@@ -1706,15 +1674,11 @@ mod tests {
         // p0's promise reports an old vote in shard 1, slot 7.
         let reported = GroupPromise {
             shards: vec![
-                ShardPromise::default(),
-                ShardPromise {
+                VoteReport::default(),
+                VoteReport {
                     prefix: 0,
                     chosen: vec![],
-                    votes: vec![PromisedVote {
-                        slot: 7,
-                        bal: Ballot::new(1),
-                        values: vec![Value::new(70)],
-                    }],
+                    votes: vec![vote(7, 1, 70)],
                 },
             ],
         };
@@ -1745,11 +1709,23 @@ mod tests {
         )));
     }
 
+    /// A reported vote for the one-command batch `[v]` in `slot` at
+    /// ballot `bal`.
+    fn vote(slot: u64, bal: u64, v: u64) -> SlotVote {
+        SlotVote {
+            slot,
+            vote: BatchVote {
+                bal: Ballot::new(bal),
+                batch: batch_of([Value::new(v)]),
+            },
+        }
+    }
+
     /// A promise whose only shard carries `votes` (no chosen entries,
     /// prefix 0).
-    fn votes_promise(votes: Vec<PromisedVote>) -> GroupPromise {
+    fn votes_promise(votes: Vec<SlotVote>) -> GroupPromise {
         GroupPromise {
-            shards: vec![ShardPromise {
+            shards: vec![VoteReport {
                 prefix: 0,
                 chosen: vec![],
                 votes,
@@ -1761,23 +1737,9 @@ mod tests {
     fn promise_fold_keeps_highest_ballot_vote_per_slot() {
         let mut chosen = vec![BTreeMap::new()];
         let mut best = vec![BTreeMap::new()];
-        votes_promise(vec![PromisedVote {
-            slot: 0,
-            bal: Ballot::new(2),
-            values: vec![Value::new(20)],
-        }])
-        .fold_into(&mut chosen, &mut best);
-        votes_promise(vec![
-            PromisedVote { slot: 0, bal: Ballot::new(5), values: vec![Value::new(50)] },
-            PromisedVote { slot: 1, bal: Ballot::new(1), values: vec![Value::new(11)] },
-        ])
-        .fold_into(&mut chosen, &mut best);
-        votes_promise(vec![PromisedVote {
-            slot: 0,
-            bal: Ballot::new(3),
-            values: vec![Value::new(30)],
-        }])
-        .fold_into(&mut chosen, &mut best);
+        votes_promise(vec![vote(0, 2, 20)]).fold_into(&mut chosen, &mut best);
+        votes_promise(vec![vote(0, 5, 50), vote(1, 1, 11)]).fold_into(&mut chosen, &mut best);
+        votes_promise(vec![vote(0, 3, 30)]).fold_into(&mut chosen, &mut best);
         assert_eq!(best[0][&0].bal, Ballot::new(5), "highest ballot wins slot 0");
         assert_eq!(&*best[0][&0].batch, &[Value::new(50)]);
         assert_eq!(&*best[0][&1].batch, &[Value::new(11)]);
@@ -1789,18 +1751,21 @@ mod tests {
         let mut chosen = vec![BTreeMap::new()];
         let mut best = vec![BTreeMap::new()];
         GroupPromise {
-            shards: vec![ShardPromise {
+            shards: vec![VoteReport {
                 prefix: 2,
-                chosen: vec![(0, vec![Value::new(5)]), (1, vec![Value::new(6)])],
+                chosen: vec![
+                    (0, batch_of([Value::new(5)])),
+                    (1, batch_of([Value::new(6)])),
+                ],
                 votes: vec![],
             }],
         }
         .fold_into(&mut chosen, &mut best);
         // A second (identical, by agreement) report does not overwrite.
         GroupPromise {
-            shards: vec![ShardPromise {
+            shards: vec![VoteReport {
                 prefix: 1,
-                chosen: vec![(0, vec![Value::new(5)])],
+                chosen: vec![(0, batch_of([Value::new(5)]))],
                 votes: vec![],
             }],
         }
@@ -1820,6 +1785,11 @@ mod tests {
         p.on_start(&mut o);
         p.on_message(ProcessId::new(1), &GroupMsg::G1a { mbal: Ballot::new(4), prefixes: vec![] }, &mut o);
         o.drain();
+        // The session timer expires, but condition (ii) is unmet (only p1
+        // heard), so no takeover yet.
+        p.on_timer(TIMER_SESSION, &mut o);
+        assert_eq!(p.session(), Session::new(1));
+        o.drain();
         p.on_message(
             ProcessId::new(1),
             &GroupMsg::Shard {
@@ -1833,6 +1803,95 @@ mod tests {
             acts.iter().any(|a| matches!(a, Action::SetTimer { id, .. } if *id == TIMER_SESSION)),
             "leader liveness re-arms the group session timer"
         );
+        // Even after hearing a majority in session 1, the cleared expiry
+        // flag blocks an immediate takeover.
+        let g1a = GroupMsg::G1a {
+            mbal: Ballot::new(4),
+            prefixes: vec![],
+        };
+        p.on_message(ProcessId::new(0), &g1a, &mut o);
+        assert_eq!(
+            p.session(),
+            Session::new(1),
+            "no takeover while leader lives"
+        );
+    }
+
+    #[test]
+    fn anchored_group_leader_does_not_restart_phase1() {
+        let mut p = spawn(1, 3, 1);
+        let mut o = out();
+        p.on_start(&mut o);
+        o.drain();
+        anchor_group(&mut p, &mut o);
+        let before = p.mbal();
+        p.on_timer(TIMER_SESSION, &mut o);
+        assert_eq!(p.mbal(), before, "anchored leaders keep their ballot");
+        assert!(p.is_anchored());
+    }
+
+    #[test]
+    fn decision_is_shard_zero_slot_zero() {
+        let mut p = spawn(1, 3, 0);
+        let mut o = out();
+        p.on_start(&mut o);
+        o.drain();
+        assert_eq!(p.decision(), None);
+        for from in [1u32, 2] {
+            p.on_message(
+                ProcessId::new(from),
+                &GroupMsg::Shard {
+                    shard: ShardId::ZERO,
+                    msg: MultiMsg::M2b {
+                        mbal: Ballot::new(4),
+                        slot: 0,
+                        batch: batch_of([Value::new(7)]),
+                    },
+                },
+                &mut o,
+            );
+        }
+        assert_eq!(p.decision(), Some(Value::new(7)));
+    }
+
+    #[test]
+    fn default_batching_is_one_command_per_slot() {
+        // Defaults: one command per slot, unbounded pipeline window — every
+        // submission is proposed at once, in its own slot.
+        let mut p = spawn(1, 3, 1);
+        let mut o = out();
+        p.on_start(&mut o);
+        o.drain();
+        anchor_group(&mut p, &mut o);
+        for v in 1..=3 {
+            p.on_client(Value::new(v), &mut o);
+        }
+        let proposed: Vec<(u64, Vec<Value>)> = o
+            .drain()
+            .into_iter()
+            .filter_map(|a| match a {
+                Action::Broadcast {
+                    msg:
+                        GroupMsg::Shard {
+                            msg: MultiMsg::M2a { slot, batch, .. },
+                            ..
+                        },
+                } => Some((slot, batch.to_vec())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            proposed,
+            (1..=3)
+                .map(|v| (v - 1, vec![Value::new(v)]))
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one command")]
+    fn zero_batch_rejected() {
+        let _ = LogGroup::new(1).with_batching(0, 1);
     }
 
     #[test]
@@ -1876,8 +1935,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_log_view_is_uniform_across_layers() {
-        let plain = MultiPaxos::new().spawn(ProcessId::new(0), &cfg(3), Value::new(0));
+    fn sharded_log_view_covers_every_shard() {
+        let plain = spawn(1, 3, 0);
         assert_eq!(ShardedLogView::shard_count(&plain), 1);
         assert!(plain.shard_log(ShardId::ZERO).is_empty());
         let group = spawn(4, 3, 0);

@@ -1,16 +1,18 @@
-//! Multi-instance session Paxos: a replicated log.
+//! The slot log of one replicated-log shard: everything below phase 1.
 //!
 //! The paper's §4 "Reducing Message Complexity" observes that, as in
 //! ordinary Paxos, "phase 1 is executed in advance for all instances of the
 //! algorithm, and all nonfaulty processes decide within 3 message delays
 //! when the system is stable" — and that the modified algorithm can be made
-//! to behave the same way. This module is that construction: the session
-//! machinery (gating, session timer, ε-retransmission) runs **once**,
-//! shared by all log slots; a process whose ballot gathers a phase-1b
-//! majority becomes *anchored* and thereafter commits each submitted
-//! command with a single 2a/2b exchange — decision within 3 message delays
-//! of submission (forward → 2a → 2b) in the stable period, as experiment
-//! E7 measures.
+//! to behave the same way. The session machinery that executes that phase
+//! 1 (gating, session timer, ε-retransmission, the 1a/1b exchange) runs
+//! **once**, in the [log group](crate::paxos::group); a plain replicated
+//! log is [`LogGroup::new(1)`](crate::paxos::group::LogGroup::new). This
+//! module is the per-shard state machine the group drives: once the
+//! group's ballot gathers a phase-1b majority, each shard is *anchored*
+//! and commits each submitted command with a single 2a/2b exchange —
+//! decision within 3 message delays of submission (forward → 2a → 2b) in
+//! the stable period, as experiment E7 measures.
 //!
 //! Two throughput mechanisms sit on top of the paper's construction:
 //!
@@ -22,8 +24,9 @@
 //!   proposal pipeline, a phase-1b quorum's reported votes — stay in
 //!   `BTreeMap`s.)
 //! * **Proposer-side batching** ("group commit"): an anchored leader packs
-//!   up to [`MultiPaxos::with_batching`]`(max_batch, ..)` client commands
-//!   into one slot, and pipelines at most `max_outstanding` unchosen slots.
+//!   up to `max_batch` client commands into one slot, and pipelines at
+//!   most `max_outstanding` unchosen slots (see
+//!   [`LogGroup::with_batching`](crate::paxos::group::LogGroup::with_batching)).
 //!   While the pipeline window is full, arriving commands accumulate and
 //!   leave in batches as slots commit — so sustained throughput scales
 //!   with `max_batch · max_outstanding` per round trip instead of being
@@ -36,26 +39,21 @@
 //! is an application concern (the replicated-log example and the
 //! `esync-workload` generators tag commands with unique ids).
 
-use crate::ballot::{Ballot, Session};
-use crate::config::TimingConfig;
-use crate::outbox::{Outbox, Process, Protocol};
-use crate::paxos::admitted::{Admitted, AdmittedSet, DEFAULT_ADMITTED_WINDOW};
+use crate::ballot::Ballot;
+use crate::outbox::{Outbox, ShardLoad};
+use crate::paxos::admitted::{Admitted, AdmittedSet};
 use crate::paxos::slotlog::SlotMap;
 use crate::quorum::QuorumTracker;
-use crate::time::LocalInstant;
 use crate::trace::TraceEvent;
-use crate::types::{ProcessId, TimerId, Value};
+use crate::types::{ProcessId, Value};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Timer id of the session timer (shared-phase-1 machinery).
-pub const TIMER_SESSION: TimerId = TimerId::new(0);
-/// Timer id of the ε-retransmission tick.
-pub const TIMER_EPSILON: TimerId = TimerId::new(1);
 
 /// One slot's payload: one or more client commands chosen together
 /// ("group commit"). Reference-counted so that the fan-out paths — an
-/// acceptor echoing a 2a as a 2b, a leader re-proposing on the ε tick —
-/// bump a refcount instead of deep-copying the command list.
+/// acceptor echoing a 2a as a 2b, a leader re-proposing on the ε tick, a
+/// phase-1b promise reporting a vote — bump a refcount instead of
+/// deep-copying the command list.
 pub type Batch = Arc<[Value]>;
 
 /// Builds a batch from its commands.
@@ -81,43 +79,10 @@ pub struct SlotVote {
     pub vote: BatchVote,
 }
 
-/// Wire messages of the replicated-log layer.
+/// Wire messages of one shard's slot log (the group tags them with their
+/// shard; phase 1 is group-level).
 #[derive(Debug, Clone, PartialEq)]
 pub enum MultiMsg {
-    /// Phase 1a for **all** slots at once.
-    M1a {
-        /// The ballot being started.
-        mbal: Ballot,
-        /// The caller's all-chosen log prefix: the replier truncates its
-        /// report at this slot (everything below it is already committed
-        /// at the caller), which is what keeps steady-state promises
-        /// `O(in-flight window)` instead of `O(log length)`.
-        prefix: u64,
-    },
-    /// Phase 1b: the acceptor's **truncated** vote report (see
-    /// [`MultiPaxosProcess::vote_report`]). Slots below the reporter's
-    /// own all-chosen prefix are final, so they travel as compact chosen
-    /// entries (only those the caller is missing) rather than as votes;
-    /// live votes are reported only at or above the reporter's prefix.
-    M1b {
-        /// The joined ballot.
-        mbal: Ballot,
-        /// The reporter's all-chosen log prefix. Slots below it are
-        /// committed, so the new leader must never propose fresh batches
-        /// there — the quorum's highest prefix is enforced as a
-        /// `next_slot` floor at anchoring (normally implied by the
-        /// shipped chosen entries; kept independent as defense in
-        /// depth), and together with the chosen entries it replaces the
-        /// old full-history vote list.
-        prefix: u64,
-        /// Chosen log entries at or above the **caller's** prefix — the
-        /// caller's catch-up material (empty when caller and reporter
-        /// are equally caught up).
-        chosen: Vec<(u64, Batch)>,
-        /// Per-slot last votes at or above the reporter's prefix, for
-        /// slots not already chosen at the reporter.
-        votes: Vec<SlotVote>,
-    },
     /// Phase 2a for one slot.
     M2a {
         /// The ballot.
@@ -154,10 +119,7 @@ impl MultiMsg {
     /// The ballot carried by this message, if any.
     pub fn ballot(&self) -> Option<Ballot> {
         match self {
-            MultiMsg::M1a { mbal, .. }
-            | MultiMsg::M1b { mbal, .. }
-            | MultiMsg::M2a { mbal, .. }
-            | MultiMsg::M2b { mbal, .. } => Some(*mbal),
+            MultiMsg::M2a { mbal, .. } | MultiMsg::M2b { mbal, .. } => Some(*mbal),
             MultiMsg::Forward { .. } | MultiMsg::LogDecided { .. } => None,
         }
     }
@@ -165,8 +127,6 @@ impl MultiMsg {
     /// A short static label for message-count metrics.
     pub fn kind(&self) -> &'static str {
         match self {
-            MultiMsg::M1a { .. } => "1a",
-            MultiMsg::M1b { .. } => "1b",
             MultiMsg::M2a { .. } => "2a",
             MultiMsg::M2b { .. } => "2b",
             MultiMsg::Forward { .. } => "forward",
@@ -175,98 +135,26 @@ impl MultiMsg {
     }
 }
 
-/// The leader's phase-1b **value-selection rule**, per slot: a reported
-/// vote replaces the current best iff its ballot is strictly higher.
-/// One implementation shared by the single log's 1b quorum and the
-/// group promise fold ([`crate::paxos::group::GroupPromise::fold_into`])
-/// so the two layers can never select different values for the same
-/// reported votes. `batch` is built lazily, so callers converting from
-/// wire form allocate only when the vote actually wins.
-pub(crate) fn fold_best_vote(
-    best: &mut std::collections::BTreeMap<u64, BatchVote>,
-    slot: u64,
-    bal: Ballot,
-    batch: impl FnOnce() -> Batch,
-) {
-    let better = match best.get(&slot) {
-        None => true,
-        Some(b) => bal > b.bal,
-    };
-    if better {
-        best.insert(slot, BatchVote { bal, batch: batch() });
-    }
-}
-
-/// One acceptor's truncated phase-1b payload (the fields of
-/// [`MultiMsg::M1b`] below the ballot): its all-chosen prefix, the chosen
-/// entries the caller is missing, and its live votes. Built by
-/// [`MultiPaxosProcess::vote_report`]; the log group aggregates one per
-/// shard into its `GroupPromise`.
+/// One acceptor's truncated phase-1b report for one shard: its all-chosen
+/// prefix, the chosen entries the caller is missing, and its live votes.
+/// Built by [`MultiPaxosProcess::vote_report`]; a
+/// [`GroupPromise`](crate::paxos::group::GroupPromise) carries one per
+/// shard.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct VoteReport {
-    /// The reporter's all-chosen log prefix.
+    /// The reporter's all-chosen log prefix. Slots below it are
+    /// committed, so the new leader must never propose fresh batches
+    /// there — the quorum's highest prefix is enforced as a `next_slot`
+    /// floor at anchoring (normally implied by the shipped chosen
+    /// entries; kept independent as defense in depth).
     pub prefix: u64,
-    /// Chosen entries at or above the caller's prefix.
+    /// Chosen entries at or above the **caller's** prefix — the caller's
+    /// catch-up material (empty when caller and reporter are equally
+    /// caught up).
     pub chosen: Vec<(u64, Batch)>,
     /// Last votes at or above the reporter's prefix, for slots the
     /// reporter has not seen chosen.
     pub votes: Vec<SlotVote>,
-}
-
-/// Leader-side phase-1b aggregation across all slots.
-///
-/// `best`/`chosen` stay `BTreeMap`s: this is a short-lived per-election
-/// structure sized by the *reported* votes, rebuilt on every ballot
-/// attempt — the sharded `SlotMap`'s per-shard allocation would cost more
-/// than it saves on exactly the unstable-period election-churn path.
-#[derive(Debug, Clone)]
-struct Multi1bQuorum {
-    bal: Ballot,
-    tracker: QuorumTracker,
-    /// The highest reporter prefix seen — a floor for the new leader's
-    /// `next_slot` (every slot below a reporter's prefix is chosen
-    /// *somewhere*), enforced in addition to the shipped chosen entries
-    /// as defense in depth.
-    max_prefix: u64,
-    /// Best (highest-ballot) reported live vote per slot.
-    best: std::collections::BTreeMap<u64, BatchVote>,
-    /// Chosen entries reported by the quorum (final — identical across
-    /// reporters by agreement, so first writer wins).
-    chosen: std::collections::BTreeMap<u64, Batch>,
-}
-
-impl Multi1bQuorum {
-    fn new(bal: Ballot, n: usize) -> Self {
-        Multi1bQuorum {
-            bal,
-            tracker: QuorumTracker::new(n),
-            max_prefix: 0,
-            best: std::collections::BTreeMap::new(),
-            chosen: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Returns `true` when the majority threshold is crossed by this call.
-    fn record(
-        &mut self,
-        from: ProcessId,
-        prefix: u64,
-        chosen: &[(u64, Batch)],
-        votes: &[SlotVote],
-    ) -> bool {
-        let before = self.tracker.reached();
-        if !self.tracker.insert(from) {
-            return false;
-        }
-        self.max_prefix = self.max_prefix.max(prefix);
-        for (slot, batch) in chosen {
-            self.chosen.entry(*slot).or_insert_with(|| batch.clone());
-        }
-        for sv in votes {
-            fold_best_vote(&mut self.best, sv.slot, sv.vote.bal, || sv.vote.batch.clone());
-        }
-        !before && self.tracker.reached()
-    }
 }
 
 /// 2b counts for one slot, per ballot. Nearly always a single entry (one
@@ -292,141 +180,18 @@ impl Slot2b {
     }
 }
 
-/// Protocol factory for the replicated-log layer.
-#[derive(Debug, Clone)]
-pub struct MultiPaxos {
-    max_batch: usize,
-    max_outstanding: usize,
-    admitted_window: u64,
-}
-
-impl Default for MultiPaxos {
-    fn default() -> Self {
-        MultiPaxos::new()
-    }
-}
-
-impl MultiPaxos {
-    /// Creates the factory with batching disabled (`max_batch = 1`) and an
-    /// unbounded pipeline window — the classic one-command-per-slot layer.
-    pub fn new() -> Self {
-        MultiPaxos {
-            max_batch: 1,
-            max_outstanding: usize::MAX,
-            admitted_window: DEFAULT_ADMITTED_WINDOW,
-        }
-    }
-
-    /// Enables proposer-side batching: up to `max_batch` commands share a
-    /// slot, and at most `max_outstanding` proposed-but-unchosen slots are
-    /// in flight. Commands arriving while the window is full accumulate
-    /// and leave in batches as slots commit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either parameter is zero.
-    #[must_use]
-    pub fn with_batching(mut self, max_batch: usize, max_outstanding: usize) -> Self {
-        assert!(max_batch >= 1, "a batch holds at least one command");
-        assert!(max_outstanding >= 1, "the pipeline needs at least one slot");
-        self.max_batch = max_batch;
-        self.max_outstanding = max_outstanding;
-        self
-    }
-
-    /// The configured batch-size cap.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// The configured pipeline-window cap.
-    pub fn max_outstanding(&self) -> usize {
-        self.max_outstanding
-    }
-
-    /// Sets the admitted-set compaction window: chosen commands are
-    /// remembered (for retry dedup and `Forward`-of-chosen answers) until
-    /// their slot falls `window` slots below the all-chosen log prefix
-    /// (see [`AdmittedSet`]). Defaults to [`DEFAULT_ADMITTED_WINDOW`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn with_admitted_window(mut self, window: u64) -> Self {
-        assert!(window >= 1, "the admitted window keeps at least one slot");
-        self.admitted_window = window;
-        self
-    }
-
-    /// The configured admitted-set compaction window.
-    pub fn admitted_window(&self) -> u64 {
-        self.admitted_window
-    }
-}
-
-impl MultiPaxos {
-    /// Spawns a process whose session machinery is **externally driven**:
-    /// a [log-group](crate::paxos::group) shard. A driven process arms no
-    /// timers, never broadcasts a 1a, never starts phase 1 on its own, and
-    /// becomes anchored only through [`MultiPaxosProcess::drive_anchor`] —
-    /// the group runs one shared phase 1 (one ballot, one session timer)
-    /// on behalf of all its shards and drives each shard's anchor from the
-    /// folded group promise. Everything below phase 1 — the slot pipeline,
-    /// batching, admission dedup, 2a/2b voting, commit bookkeeping — is
-    /// the ordinary in-band machinery, unchanged.
-    pub fn spawn_driven(&self, id: ProcessId, cfg: &TimingConfig) -> MultiPaxosProcess {
-        let mut p = self.spawn(id, cfg, Value::new(0));
-        p.driven = true;
-        p
-    }
-}
-
-impl Protocol for MultiPaxos {
-    type Msg = MultiMsg;
-    type Process = MultiPaxosProcess;
-
-    fn name(&self) -> &'static str {
-        "multi-session-paxos"
-    }
-
-    fn kind_of(msg: &MultiMsg) -> &'static str {
-        msg.kind()
-    }
-
-    fn spawn(&self, id: ProcessId, cfg: &TimingConfig, _initial: Value) -> MultiPaxosProcess {
-        MultiPaxosProcess {
-            id,
-            cfg: *cfg,
-            mbal: Ballot::initial(id),
-            accepted: SlotMap::new(),
-            log: SlotMap::new(),
-            decisions: SlotMap::new(),
-            p1b: None,
-            anchored: None,
-            proposals: std::collections::BTreeMap::new(),
-            max_batch: self.max_batch,
-            max_outstanding: self.max_outstanding,
-            next_slot: 0,
-            chosen_prefix: 0,
-            pending: Vec::new(),
-            admitted: AdmittedSet::new(self.admitted_window),
-            session_heard: QuorumTracker::new(cfg.n()),
-            timer_expired: false,
-            last_p1a2a: None,
-            driven: false,
-            load: crate::outbox::ShardLoad::default(),
-        }
-    }
-}
-
-/// One replicated-log process. The single-shot `initial` value from
-/// [`Protocol::spawn`] is unused — commands arrive via
-/// [`Process::on_client`].
+/// One shard's replicated-log state machine: acceptor votes, the chosen
+/// log, the proposal pipeline and the admitted dedup set. It owns no
+/// timers and runs no phase 1: the [log group](crate::paxos::group) owns
+/// the ballot, the session timer, the ε tick and the 1a/1b exchange, and
+/// drives this machine through its `drive_*` methods and message
+/// handlers.
 #[derive(Debug, Clone)]
 pub struct MultiPaxosProcess {
     id: ProcessId,
-    cfg: TimingConfig,
+    /// The number of processes (the 2b majority and ballot ownership).
+    n: usize,
+    /// The group ballot, kept in sync by the group.
     mbal: Ballot,
     /// Per-slot acceptor votes.
     accepted: SlotMap<BatchVote>,
@@ -434,7 +199,6 @@ pub struct MultiPaxosProcess {
     log: SlotMap<Batch>,
     /// 2b counts per slot (per ballot within the slot).
     decisions: SlotMap<Slot2b>,
-    p1b: Option<Multi1bQuorum>,
     /// The ballot we are anchored at (phase 1 complete for all slots).
     anchored: Option<Ballot>,
     /// Batches we proposed and that are **not yet chosen** — the live
@@ -443,7 +207,7 @@ pub struct MultiPaxosProcess {
     /// and the unanchor requeue touch only in-flight work, never the
     /// ever-growing committed history (that lives in `log`). A bounded
     /// working set, so a plain `BTreeMap` beats the sharded store here.
-    proposals: std::collections::BTreeMap<u64, Batch>,
+    proposals: BTreeMap<u64, Batch>,
     max_batch: usize,
     max_outstanding: usize,
     next_slot: u64,
@@ -468,33 +232,50 @@ pub struct MultiPaxosProcess {
     /// resubmissions older than the window (the documented at-least-once
     /// paths).
     admitted: AdmittedSet,
-    session_heard: QuorumTracker,
-    timer_expired: bool,
-    last_p1a2a: Option<LocalInstant>,
-    /// Whether phase 1 is externally driven (a log-group shard, spawned
-    /// via [`MultiPaxos::spawn_driven`]): the group owns the ballot, the
-    /// session timer, the ε tick and every 1a/1b exchange; this process
-    /// only votes, proposes under a driven anchor, and keeps its log.
-    driven: bool,
     /// Cumulative load counters (commands dispatched / freshly admitted)
     /// for the imbalance instrumentation and the rebalancer's trigger.
-    load: crate::outbox::ShardLoad,
+    load: ShardLoad,
 }
 
 impl MultiPaxosProcess {
-    /// The process's current ballot.
+    /// A fresh shard of process `id` among `n`, at `id`'s initial ballot:
+    /// up to `max_batch` commands per slot, at most `max_outstanding`
+    /// unchosen slots in flight, chosen commands remembered for
+    /// `admitted_window` slots below the all-chosen prefix.
+    pub(crate) fn new(
+        id: ProcessId,
+        n: usize,
+        max_batch: usize,
+        max_outstanding: usize,
+        admitted_window: u64,
+    ) -> Self {
+        MultiPaxosProcess {
+            id,
+            n,
+            mbal: Ballot::initial(id),
+            accepted: SlotMap::new(),
+            log: SlotMap::new(),
+            decisions: SlotMap::new(),
+            anchored: None,
+            proposals: BTreeMap::new(),
+            max_batch,
+            max_outstanding,
+            next_slot: 0,
+            chosen_prefix: 0,
+            pending: Vec::new(),
+            admitted: AdmittedSet::new(admitted_window),
+            load: ShardLoad::default(),
+        }
+    }
+
+    /// The shard's current ballot (always the group's).
     pub fn mbal(&self) -> Ballot {
         self.mbal
     }
 
-    /// The process's current session.
-    pub fn session(&self) -> Session {
-        self.mbal.session(self.cfg.n())
-    }
-
-    /// Whether this process is anchored (leader with phase 1 pre-executed).
+    /// Whether this shard is anchored (leader with phase 1 pre-executed).
     pub fn is_anchored(&self) -> bool {
-        self.anchored == Some(self.mbal) && self.mbal.owner(self.cfg.n()) == self.id
+        self.anchored == Some(self.mbal) && self.mbal.owner(self.n) == self.id
     }
 
     /// The chosen log so far: one batch per chosen slot.
@@ -532,29 +313,15 @@ impl MultiPaxosProcess {
     }
 
     /// The admitted-set compaction window, in slots (see
-    /// [`MultiPaxos::with_admitted_window`]). The log group prunes its
-    /// moved-command answers by the same rule.
+    /// [`LogGroup::with_admitted_window`](crate::paxos::group::LogGroup::with_admitted_window)).
+    /// The log group prunes its moved-command answers by the same rule.
     pub fn admitted_window(&self) -> u64 {
         self.admitted.window()
     }
 
-    fn broadcast_m1a(&mut self, out: &mut Outbox<MultiMsg>) {
-        let mbal = self.mbal;
-        out.observe(|| TraceEvent::OneASent { ballot: mbal.get() });
-        out.broadcast(MultiMsg::M1a {
-            mbal,
-            prefix: self.chosen_prefix,
-        });
-        self.last_p1a2a = Some(out.now());
-    }
-
-    fn enter_session(&mut self, announce: bool, out: &mut Outbox<MultiMsg>) {
-        self.session_heard.clear();
-        self.timer_expired = false;
-        out.set_timer(TIMER_SESSION, self.cfg.session_timer_local());
-        if announce {
-            self.broadcast_m1a(out);
-        }
+    /// This shard's cumulative load counters.
+    pub(crate) fn load(&self) -> ShardLoad {
+        self.load
     }
 
     /// Drops leadership state, moving every proposed-but-uncommitted
@@ -579,51 +346,6 @@ impl MultiPaxosProcess {
         self.proposals.clear();
     }
 
-    fn adopt(&mut self, b: Ballot, out: &mut Outbox<MultiMsg>) {
-        debug_assert!(b > self.mbal);
-        let old_session = self.session();
-        self.mbal = b;
-        if self.p1b.as_ref().is_some_and(|q| q.bal < b) {
-            self.p1b = None;
-        }
-        if self.anchored.is_some_and(|ab| ab < b) {
-            let dropped = self.anchored.unwrap_or(b);
-            out.observe(|| TraceEvent::Unanchored {
-                ballot: dropped.get(),
-            });
-            self.unanchor();
-        }
-        // A driven shard adopts silently: session entry (timer reset, 1a
-        // announcement) is the group's job, done once for all shards.
-        if !self.driven && b.session(self.cfg.n()) > old_session {
-            self.enter_session(true, out);
-        }
-    }
-
-    fn start_phase1(&mut self, out: &mut Outbox<MultiMsg>) {
-        let next = self.mbal.next_session(self.id, self.cfg.n());
-        self.mbal = next;
-        self.p1b = Some(Multi1bQuorum::new(next, self.cfg.n()));
-        self.unanchor();
-        self.enter_session(false, out);
-        self.broadcast_m1a(out);
-    }
-
-    fn try_start_phase1(&mut self, out: &mut Outbox<MultiMsg>) {
-        if self.driven || !self.timer_expired {
-            return;
-        }
-        // An anchored leader has nothing to gain from a fresh session: its
-        // phase 1 already covers every slot (§4 "Reducing Message
-        // Complexity": the stable case behaves like ordinary Paxos).
-        if self.is_anchored() {
-            return;
-        }
-        if self.session() == Session::ZERO || self.session_heard.reached() {
-            self.start_phase1(out);
-        }
-    }
-
     fn propose(&mut self, slot: u64, batch: Batch, out: &mut Outbox<MultiMsg>) {
         debug_assert!(self.is_anchored());
         debug_assert!(!self.log.contains(slot), "never propose into a chosen slot");
@@ -631,66 +353,99 @@ impl MultiPaxosProcess {
         // Never propose two batches for the same (ballot, slot); a fresh
         // proposal occupies the pipeline until its slot commits.
         let batch = self.proposals.entry(slot).or_insert(batch).clone();
-        // Gated on tracing alone: metered-only runs keep the `proposed`
-        // counter at zero, as the committed health artifacts record.
-        if out.tracing() {
-            for v in batch.iter() {
-                out.observe(|| TraceEvent::Proposed {
-                    shard: 0,
-                    slot,
-                    value: v.get(),
-                });
-            }
+        for v in batch.iter() {
+            out.observe(|| TraceEvent::Proposed {
+                shard: 0,
+                slot,
+                value: v.get(),
+            });
         }
         out.broadcast(MultiMsg::M2a { mbal: bal, slot, batch });
-        self.last_p1a2a = Some(out.now());
     }
 
-    /// Becomes anchored: learn the chosen entries the quorum reported,
-    /// re-complete every reported live vote, then batch-assign fresh
-    /// slots to pending commands.
-    fn anchor(&mut self, out: &mut Outbox<MultiMsg>) {
-        let q = self.p1b.take().expect("anchor follows a 1b quorum");
-        debug_assert_eq!(q.bal, self.mbal);
-        // Learn reported-chosen entries BEFORE declaring ourselves
-        // anchored: `choose` flushes pending commands into fresh slots
-        // when anchored, and that must not happen until `next_slot` has
-        // been fixed up past everything the quorum reported.
-        self.learn_chosen(&q.chosen, out);
-        self.anchored = Some(q.bal);
-        out.observe(|| TraceEvent::Anchored {
-            ballot: q.bal.get(),
-        });
-        self.complete_phase1(q.max_prefix, &q.best, out);
+    /// The truncated phase-1b payload, relative to the 1a caller's
+    /// all-chosen prefix — this shard's slice of the
+    /// [group promise](crate::paxos::group::GroupPromise).
+    ///
+    /// What travels (and why it is safe to drop the rest):
+    ///
+    /// * **Chosen entries** at or above `caller_prefix` — final by
+    ///   agreement, they are the caller's catch-up material. Slots below
+    ///   the caller's prefix are already committed at the caller.
+    /// * **Live votes** at or above *our* prefix, for slots we have not
+    ///   seen chosen. A vote below our prefix is superseded by the log
+    ///   entry (sent above when the caller lacks it); a chosen slot's
+    ///   classic-Paxos repair is preserved because any quorum intersects
+    ///   the choosing majority, and that member either still reports the
+    ///   vote (slot at or above its prefix) or ships the final entry.
+    ///
+    /// Steady-state cost is `O(in-flight window + prefix lag)` per reply
+    /// — the ROADMAP "promise size" item — while a caller at prefix 0
+    /// (a restarted process) receives the full log in one exchange.
+    pub fn vote_report(&self, caller_prefix: u64) -> VoteReport {
+        let chosen: Vec<(u64, Batch)> = self
+            .log
+            .tail(caller_prefix)
+            .map(|(slot, batch)| (slot, batch.clone()))
+            .collect();
+        let votes: Vec<SlotVote> = self
+            .accepted
+            .tail(self.chosen_prefix)
+            .filter(|(slot, _)| !self.log.contains(*slot))
+            .map(|(slot, vote)| SlotVote {
+                slot,
+                vote: vote.clone(),
+            })
+            .collect();
+        VoteReport {
+            prefix: self.chosen_prefix,
+            chosen,
+            votes,
+        }
     }
 
-    /// Applies chosen entries reported by a phase-1b quorum: final by
-    /// agreement, so they are learned directly (emitting their decides
-    /// and a `LogDecided` each, exactly like any other commit) instead of
-    /// being re-proposed through a 2a/2b round. Slots already in the log
-    /// are skipped by `choose`.
-    fn learn_chosen(
+    /// Raises this shard's ballot to the group's, dropping leadership
+    /// state if it was anchored at a lower ballot — the per-shard half of
+    /// a **group unanchor event**. Emits nothing: the group owns every
+    /// session-level side effect (timer resets, 1a announcements).
+    pub(crate) fn drive_ballot(&mut self, b: Ballot) {
+        if b <= self.mbal {
+            return;
+        }
+        self.mbal = b;
+        if self.anchored.is_some_and(|ab| ab < b) {
+            self.unanchor();
+        }
+    }
+
+    /// Anchors this shard: the group's shared phase 1 completed at ballot
+    /// `b`; `floor` is the quorum's highest reported prefix for this
+    /// shard, `chosen` holds the final entries the group-promise quorum
+    /// reported for it and `best` its highest-ballot reported live vote
+    /// per slot. Reported chosen entries are learned, reported votes
+    /// re-complete under `b`, covered requeues are pruned, and pending
+    /// commands drain into fresh slots.
+    pub(crate) fn drive_anchor(
         &mut self,
-        chosen: &std::collections::BTreeMap<u64, Batch>,
+        b: Ballot,
+        floor: u64,
+        chosen: &BTreeMap<u64, Batch>,
+        best: &BTreeMap<u64, BatchVote>,
         out: &mut Outbox<MultiMsg>,
     ) {
+        debug_assert!(b >= self.mbal, "anchors never move the ballot backwards");
+        self.mbal = b;
+        // Learn reported-chosen entries BEFORE declaring ourselves
+        // anchored: they are final by agreement, so they are learned
+        // directly (emitting their decides and a `LogDecided` each,
+        // exactly like any other commit) instead of being re-proposed —
+        // and `choose` flushes pending commands into fresh slots when
+        // anchored, which must not happen until `next_slot` has been
+        // fixed up past everything the quorum reported.
         for (slot, batch) in chosen {
             self.choose(*slot, batch.clone(), out);
         }
-    }
-
-    /// The anchoring tail shared by the in-band [`Self::anchor`] and the
-    /// externally driven [`Self::drive_anchor`]: given the highest
-    /// reported live vote per slot (folded across a 1b quorum, with the
-    /// quorum's chosen entries already learned), re-complete every
-    /// reported slot under the current ballot and flush pending commands
-    /// into fresh slots.
-    fn complete_phase1(
-        &mut self,
-        floor: u64,
-        best: &std::collections::BTreeMap<u64, BatchVote>,
-        out: &mut Outbox<MultiMsg>,
-    ) {
+        self.anchored = Some(b);
         // Fresh slots start past the reported votes, our own log's
         // high-water mark (which now covers the quorum's reported chosen
         // entries, plus entries learned via `LogDecided` without any 1b
@@ -731,103 +486,18 @@ impl MultiPaxosProcess {
         self.drain_pending(out);
     }
 
-    /// The truncated phase-1b payload, relative to the 1a caller's
-    /// all-chosen prefix. Shared by the in-band `M1b` reply and the
-    /// [group promise](crate::paxos::group::GroupPromise) aggregation.
-    ///
-    /// What travels (and why it is safe to drop the rest):
-    ///
-    /// * **Chosen entries** at or above `caller_prefix` — final by
-    ///   agreement, they are the caller's catch-up material. Slots below
-    ///   the caller's prefix are already committed at the caller.
-    /// * **Live votes** at or above *our* prefix, for slots we have not
-    ///   seen chosen. A vote below our prefix is superseded by the log
-    ///   entry (sent above when the caller lacks it); a chosen slot's
-    ///   classic-Paxos repair is preserved because any quorum intersects
-    ///   the choosing majority, and that member either still reports the
-    ///   vote (slot at or above its prefix) or ships the final entry.
-    ///
-    /// Steady-state cost is `O(in-flight window + prefix lag)` per reply
-    /// — the ROADMAP "promise size" item — while a caller at prefix 0
-    /// (a restarted process) receives the full log in one exchange.
-    pub fn vote_report(&self, caller_prefix: u64) -> VoteReport {
-        let chosen: Vec<(u64, Batch)> = self
-            .log
-            .tail(caller_prefix)
-            .map(|(slot, batch)| (slot, batch.clone()))
-            .collect();
-        let votes: Vec<SlotVote> = self
-            .accepted
-            .tail(self.chosen_prefix)
-            .filter(|(slot, _)| !self.log.contains(*slot))
-            .map(|(slot, vote)| SlotVote {
-                slot,
-                vote: vote.clone(),
-            })
-            .collect();
-        VoteReport {
-            prefix: self.chosen_prefix,
-            chosen,
-            votes,
-        }
-    }
-
-    /// Externally driven ballot adoption (log-group shards): raises this
-    /// shard's ballot to the group's, dropping leadership state if it was
-    /// anchored at a lower ballot — the per-shard half of a **group
-    /// unanchor event**. Emits nothing: the group owns every
-    /// session-level side effect (timer resets, 1a announcements).
-    pub fn drive_ballot(&mut self, b: Ballot) {
-        debug_assert!(self.driven, "drive_ballot is for externally driven shards");
-        if b <= self.mbal {
-            return;
-        }
-        self.mbal = b;
-        if self.p1b.as_ref().is_some_and(|q| q.bal < b) {
-            self.p1b = None;
-        }
-        if self.anchored.is_some_and(|ab| ab < b) {
-            self.unanchor();
-        }
-    }
-
-    /// Externally driven anchoring: the group's shared phase 1 completed
-    /// at ballot `b`; `floor` is the quorum's highest reported prefix
-    /// for this shard, `chosen` holds the final entries the
-    /// group-promise quorum reported for it and `best` its
-    /// highest-ballot reported live vote per slot. Exactly the in-band
-    /// anchoring with
-    /// the quorum supplied from outside: reported chosen entries are
-    /// learned, reported votes re-complete under `b`, covered requeues
-    /// are pruned, pending commands drain into fresh slots.
-    pub fn drive_anchor(
-        &mut self,
-        b: Ballot,
-        floor: u64,
-        chosen: &std::collections::BTreeMap<u64, Batch>,
-        best: &std::collections::BTreeMap<u64, BatchVote>,
-        out: &mut Outbox<MultiMsg>,
-    ) {
-        debug_assert!(self.driven, "drive_anchor is for externally driven shards");
-        debug_assert!(b >= self.mbal, "anchors never move the ballot backwards");
-        self.mbal = b;
-        self.learn_chosen(chosen, out);
-        self.anchored = Some(b);
-        self.complete_phase1(floor, best, out);
-    }
-
     /// Whether any proposed-but-unchosen slot is in flight (the live
     /// pipeline the ε tick re-proposes).
     pub fn has_live_proposals(&self) -> bool {
         !self.proposals.is_empty()
     }
 
-    /// Externally driven ε-retransmission for an anchored shard:
-    /// re-proposes every in-flight (proposed-but-unchosen) slot, exactly
-    /// the recovery half of the in-band ε tick. The group falls back to a
-    /// single group-level 1a when no shard has live proposals.
-    pub fn drive_repropose(&mut self, out: &mut Outbox<MultiMsg>) {
-        debug_assert!(self.driven, "drive_repropose is for externally driven shards");
+    /// ε-retransmission for an anchored shard: re-proposes every
+    /// in-flight (proposed-but-unchosen) slot. `proposals` holds only
+    /// unchosen slots, so this is bounded by the pipeline window, not the
+    /// log's history. The group falls back to a single group-level 1a
+    /// when no shard has live proposals.
+    pub(crate) fn drive_repropose(&mut self, out: &mut Outbox<MultiMsg>) {
         let undecided: Vec<(u64, Batch)> = self
             .proposals
             .iter()
@@ -838,11 +508,14 @@ impl MultiPaxosProcess {
         }
     }
 
-    /// Externally driven ε re-forward: retries every held command toward
-    /// the group leader `owner` — the per-shard half of the group's
-    /// unanchored ε tick (the group checks `owner != self` once).
-    pub fn drive_reforward(&mut self, owner: ProcessId, out: &mut Outbox<MultiMsg>) {
-        debug_assert!(self.driven, "drive_reforward is for externally driven shards");
+    /// ε re-forward: retries every held command toward the group leader
+    /// `owner` — the per-shard half of the group's unanchored ε tick (the
+    /// group checks `owner != self` once). A Forward lost before `TS` (or
+    /// stranded by a leadership change) retries every ε, so every
+    /// submission to a live process commits within O(ε + δ) of
+    /// stabilization; commits prune `pending` (see `choose`), terminating
+    /// the retry.
+    pub(crate) fn drive_reforward(&mut self, owner: ProcessId, out: &mut Outbox<MultiMsg>) {
         for v in &self.pending {
             out.observe(|| TraceEvent::ForwardSent { value: v.get() });
             out.send(owner, MultiMsg::Forward { value: *v });
@@ -875,7 +548,7 @@ impl MultiPaxosProcess {
     /// new owner shard) and the chosen `(value, slot)` pairs (which
     /// become the group's moved-command answers). The per-shard half of
     /// a router-epoch switch; the caller re-routes the unchosen values.
-    pub fn drive_extract_matching(
+    pub(crate) fn drive_extract_matching(
         &mut self,
         mut pred: impl FnMut(Value) -> bool,
     ) -> (Vec<Value>, Vec<(Value, u64)>) {
@@ -904,7 +577,10 @@ impl MultiPaxosProcess {
     /// copy and the in-flight proposal both commit) and committed
     /// commands stay answerable from this shard's log until the epoch
     /// actually switches.
-    pub fn drive_extract_pending(&mut self, mut pred: impl FnMut(Value) -> bool) -> Vec<Value> {
+    pub(crate) fn drive_extract_pending(
+        &mut self,
+        mut pred: impl FnMut(Value) -> bool,
+    ) -> Vec<Value> {
         let moving: std::collections::BTreeSet<Value> = self
             .pending
             .iter()
@@ -928,9 +604,8 @@ impl MultiPaxosProcess {
     ///
     /// # Panics
     ///
-    /// Debug-asserts that this shard is externally driven and anchored.
-    pub fn drive_propose_batch(&mut self, batch: Batch, out: &mut Outbox<MultiMsg>) -> u64 {
-        debug_assert!(self.driven, "drive_propose_batch is for externally driven shards");
+    /// Debug-asserts that this shard is anchored.
+    pub(crate) fn drive_propose_batch(&mut self, batch: Batch, out: &mut Outbox<MultiMsg>) -> u64 {
         debug_assert!(self.is_anchored(), "control entries need an anchored proposer");
         let slot = self.next_slot;
         self.next_slot += 1;
@@ -1031,72 +706,23 @@ impl MultiPaxosProcess {
             self.drain_pending(out);
         }
     }
-}
 
-impl Process for MultiPaxosProcess {
-    type Msg = MultiMsg;
-
-    fn id(&self) -> ProcessId {
-        self.id
-    }
-
-    fn on_start(&mut self, out: &mut Outbox<MultiMsg>) {
-        if self.driven {
-            return; // the group boots the session once for all shards
-        }
-        out.set_timer(TIMER_SESSION, self.cfg.session_timer_local());
-        out.set_timer(TIMER_EPSILON, self.cfg.epsilon_timer_local());
-        self.broadcast_m1a(out);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: &MultiMsg, out: &mut Outbox<MultiMsg>) {
+    /// Handles one shard-tagged message the group delivered. Session
+    /// bookkeeping (suppression, session-heard, Start Phase 1) is the
+    /// group's, done once per delivered message.
+    pub(crate) fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: &MultiMsg,
+        out: &mut Outbox<MultiMsg>,
+    ) {
         match msg {
-            MultiMsg::M1a { mbal, prefix } => {
-                // Phase 1 of a driven shard is group-level; a per-shard 1a
-                // is not part of that protocol and is dropped.
-                if self.driven {
-                    debug_assert!(false, "per-shard 1a under a group session");
-                    return;
-                }
-                let mbal = *mbal;
-                if mbal > self.mbal {
-                    self.adopt(mbal, out);
-                }
-                if mbal == self.mbal {
-                    let report = self.vote_report(*prefix);
-                    out.send(
-                        mbal.owner(self.cfg.n()),
-                        MultiMsg::M1b {
-                            mbal,
-                            prefix: report.prefix,
-                            chosen: report.chosen,
-                            votes: report.votes,
-                        },
-                    );
-                }
-            }
-            MultiMsg::M1b {
-                mbal,
-                prefix,
-                chosen,
-                votes,
-            } => {
-                if *mbal == self.mbal {
-                    if let Some(q) = self.p1b.as_mut() {
-                        if q.bal == *mbal && q.record(from, *prefix, chosen, votes) {
-                            out.observe(|| TraceEvent::PromiseQuorum {
-                                ballot: mbal.get(),
-                            });
-                            self.anchor(out);
-                        }
-                    }
-                }
-            }
             MultiMsg::M2a { mbal, slot, batch } => {
-                if *mbal >= self.mbal {
-                    if *mbal > self.mbal {
-                        self.adopt(*mbal, out);
-                    }
+                // Ballots are group-level: the group adopts a higher 2a
+                // ballot before dispatching, so a live 2a carries exactly
+                // this shard's ballot.
+                debug_assert!(*mbal <= self.mbal, "the group adopts before dispatch");
+                if *mbal == self.mbal {
                     if let Some(prev) = self.accepted.get(*slot) {
                         debug_assert!(*mbal >= prev.bal, "slot votes are ballot-monotone");
                     }
@@ -1118,7 +744,7 @@ impl Process for MultiPaxosProcess {
                 let chosen = self
                     .decisions
                     .get_or_insert_with(*slot, Slot2b::default)
-                    .record(self.cfg.n(), from, *mbal, batch);
+                    .record(self.n, from, *mbal, batch);
                 if let Some(b) = chosen {
                     let s = *slot;
                     out.observe(|| TraceEvent::Chosen { shard: 0, slot: s });
@@ -1159,100 +785,12 @@ impl Process for MultiPaxosProcess {
                 self.choose(*slot, batch.clone(), out);
             }
         }
-        if self.driven {
-            // Suppression, session-heard bookkeeping and Start Phase 1
-            // are group-level concerns; the group does them once per
-            // delivered message.
-            return;
-        }
-        if let Some(b) = msg.ballot() {
-            // Leader-liveness suppression (the paper's "appropriate
-            // acknowledgement messages"): a message from the owner of our
-            // current ballot proves the leader is alive, so we defer our
-            // own takeover by resetting the session timer. The leader's
-            // ε-period 1a/2a traffic keeps every follower suppressed, so
-            // the stable case runs one leader indefinitely — exactly
-            // ordinary Paxos. If the leader dies before TS, the traffic
-            // stops and timers expire within σ.
-            if b == self.mbal && from == b.owner(self.cfg.n()) && from != self.id {
-                self.timer_expired = false;
-                out.set_timer(TIMER_SESSION, self.cfg.session_timer_local());
-            }
-            if b.session(self.cfg.n()) == self.session() {
-                self.session_heard.insert(from);
-            }
-        }
-        self.try_start_phase1(out);
     }
 
-    fn on_timer(&mut self, timer: TimerId, out: &mut Outbox<MultiMsg>) {
-        if self.driven {
-            debug_assert!(false, "driven shards own no timers");
-            return;
-        }
-        match timer {
-            TIMER_SESSION => {
-                self.timer_expired = true;
-                self.try_start_phase1(out);
-            }
-            TIMER_EPSILON => {
-                out.set_timer(TIMER_EPSILON, self.cfg.epsilon_timer_local());
-                let idle = match self.last_p1a2a {
-                    None => true,
-                    Some(t) => out.now().saturating_since(t) >= self.cfg.epsilon_timer_local(),
-                };
-                if idle {
-                    if self.is_anchored() {
-                        // Re-propose undecided slots (recovery), or just
-                        // re-announce the ballot. `proposals` holds only
-                        // unchosen slots, so this scan is bounded by the
-                        // pipeline window, not the log's history.
-                        let undecided: Vec<(u64, Batch)> = self
-                            .proposals
-                            .iter()
-                            .map(|(s, b)| (*s, b.clone()))
-                            .collect();
-                        if undecided.is_empty() {
-                            self.broadcast_m1a(out);
-                        } else {
-                            for (slot, batch) in undecided {
-                                self.propose(slot, batch, out);
-                            }
-                        }
-                    } else {
-                        self.broadcast_m1a(out);
-                        // Re-forward held commands toward the current
-                        // presumed leader: a Forward lost before `TS` (or
-                        // stranded by a leadership change) retries every ε,
-                        // so every submission to a live process commits
-                        // within O(ε + δ) of stabilization — at-least-once
-                        // across instability. Commits prune `pending`
-                        // (see `choose`), terminating the retry.
-                        let owner = self.mbal.owner(self.cfg.n());
-                        if owner != self.id {
-                            for v in &self.pending {
-                                out.observe(|| TraceEvent::ForwardSent { value: v.get() });
-                                out.send(owner, MultiMsg::Forward { value: *v });
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_restart(&mut self, out: &mut Outbox<MultiMsg>) {
-        if self.driven {
-            return; // the group re-arms and re-announces for all shards
-        }
-        self.timer_expired = false;
-        out.set_timer(TIMER_SESSION, self.cfg.session_timer_local());
-        out.set_timer(TIMER_EPSILON, self.cfg.epsilon_timer_local());
-        self.broadcast_m1a(out);
-    }
-
-    fn on_client(&mut self, value: Value, out: &mut Outbox<MultiMsg>) {
+    /// Handles a client command routed to this shard: admitted once,
+    /// proposed when anchored, otherwise held and forwarded to the
+    /// presumed leader.
+    pub(crate) fn on_client(&mut self, value: Value, out: &mut Outbox<MultiMsg>) {
         self.load.submitted += 1;
         out.observe(|| TraceEvent::submit(value));
         if !self.admit(value) {
@@ -1267,7 +805,7 @@ impl Process for MultiPaxosProcess {
         } else {
             // Hold it and forward to the presumed leader (the owner of
             // our current ballot); the ε tick retries the forward.
-            let owner = self.mbal.owner(self.cfg.n());
+            let owner = self.mbal.owner(self.n);
             if owner != self.id {
                 out.observe(|| TraceEvent::ForwardSent {
                     value: value.get(),
@@ -1276,36 +814,24 @@ impl Process for MultiPaxosProcess {
             }
         }
     }
-
-    /// The replicated log never "terminates"; for the single-shot driver
-    /// interface, the decision is the first command of the first log entry.
-    fn decision(&self) -> Option<Value> {
-        self.log.get(0).and_then(|b| b.first().copied())
-    }
-
-    /// Anchored means leading: phase 1 is pre-executed for every slot.
-    fn is_leader(&self) -> bool {
-        self.is_anchored()
-    }
-
-    /// A plain log is one shard; its load counters live in shard zero.
-    fn shard_load(&self, shard: crate::types::ShardId) -> crate::outbox::ShardLoad {
-        debug_assert_eq!(shard, crate::types::ShardId::ZERO, "a plain log has one shard");
-        self.load
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::outbox::Action;
+    use crate::paxos::admitted::DEFAULT_ADMITTED_WINDOW;
+    use crate::time::LocalInstant;
 
-    fn cfg(n: usize) -> TimingConfig {
-        TimingConfig::for_n_processes(n).unwrap()
-    }
-
+    /// An unbatched shard of process `id` among `n` (the group's defaults).
     fn spawn(n: usize, id: u32) -> MultiPaxosProcess {
-        MultiPaxos::new().spawn(ProcessId::new(id), &cfg(n), Value::new(0))
+        MultiPaxosProcess::new(
+            ProcessId::new(id),
+            n,
+            1,
+            usize::MAX,
+            DEFAULT_ADMITTED_WINDOW,
+        )
     }
 
     fn out() -> Outbox<MultiMsg> {
@@ -1316,33 +842,14 @@ mod tests {
         batch_of([Value::new(v)])
     }
 
-    /// Drives p (id 1 of 3) to anchored state on ballot 4.
+    /// Anchors p (id 1 of 3) on ballot 4 from an empty promise quorum, as
+    /// the group does once its shared phase 1 completes.
     fn anchor_p1(p: &mut MultiPaxosProcess, o: &mut Outbox<MultiMsg>) -> Ballot {
-        p.on_start(o);
-        p.on_timer(TIMER_SESSION, o); // session 1, ballot 4, owns it
-        o.drain();
         let b = Ballot::new(4);
-        for from in [0u32, 2] {
-            p.on_message(ProcessId::new(from),
-                &MultiMsg::M1b {
-                    mbal: b,
-                    prefix: 0,
-                    chosen: vec![],
-                    votes: vec![],
-                },
-                o,
-            );
-        }
+        p.drive_ballot(b);
+        p.drive_anchor(b, 0, &BTreeMap::new(), &BTreeMap::new(), o);
         o.drain();
         b
-    }
-
-    #[test]
-    fn anchoring_after_1b_quorum() {
-        let mut p = spawn(3, 1);
-        let mut o = out();
-        anchor_p1(&mut p, &mut o);
-        assert!(p.is_anchored());
     }
 
     #[test]
@@ -1350,6 +857,7 @@ mod tests {
         let mut p = spawn(3, 1);
         let mut o = out();
         let b = anchor_p1(&mut p, &mut o);
+        assert!(p.is_anchored());
         p.on_client(Value::new(77), &mut o);
         let acts = o.drain();
         assert!(acts.iter().any(|a| matches!(
@@ -1369,17 +877,9 @@ mod tests {
     fn client_command_forwarded_when_not_leader() {
         let mut p = spawn(3, 2);
         let mut o = out();
-        p.on_start(&mut o);
-        o.drain();
-        // p2's initial ballot is 2, owned by itself; adopt p1's ballot 4.
-        p.on_message(ProcessId::new(1),
-            &MultiMsg::M1a {
-                mbal: Ballot::new(4),
-                prefix: 0,
-            },
-            &mut o,
-        );
-        o.drain();
+        // p2's initial ballot is 2, owned by itself; the group adopts p1's
+        // ballot 4.
+        p.drive_ballot(Ballot::new(4));
         p.on_client(Value::new(9), &mut o);
         let acts = o.drain();
         assert!(acts.iter().any(|a| matches!(
@@ -1394,7 +894,8 @@ mod tests {
         let mut p = spawn(3, 1);
         let mut o = out();
         anchor_p1(&mut p, &mut o);
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &MultiMsg::Forward {
                 value: Value::new(9),
             },
@@ -1411,23 +912,22 @@ mod tests {
     fn pending_commands_assigned_on_anchoring() {
         let mut p = spawn(3, 1);
         let mut o = out();
-        p.on_start(&mut o);
-        o.drain();
         p.on_client(Value::new(5), &mut o); // not anchored yet: pending
         o.drain();
-        let _ = anchor_p1(&mut p, &mut o); // drains start/timer again is fine
-        // anchor_p1 drained the outbox; the assignment happened inside it.
-        // Re-check state: slot 0 proposed with the pending command.
+        assert_eq!(p.pending_len(), 1);
+        anchor_p1(&mut p, &mut o);
+        // Anchoring flushed the held command into slot 0.
         assert_eq!(p.proposals.get(&0), Some(&one(5)));
+        assert_eq!(p.pending_len(), 0);
     }
 
     #[test]
     fn acceptor_votes_and_broadcasts_2b() {
         let mut p = spawn(3, 0);
         let mut o = out();
-        p.on_start(&mut o);
-        o.drain();
-        p.on_message(ProcessId::new(1),
+        p.drive_ballot(Ballot::new(4));
+        p.on_message(
+            ProcessId::new(1),
             &MultiMsg::M2a {
                 mbal: Ballot::new(4),
                 slot: 3,
@@ -1435,24 +935,32 @@ mod tests {
             },
             &mut o,
         );
-        let acts = o.drain();
-        assert!(acts.iter().any(|a| matches!(
+        assert!(o.drain().iter().any(|a| matches!(
             a,
             Action::Broadcast { msg: MultiMsg::M2b { slot: 3, batch, .. } }
                 if **batch == [Value::new(7)]
         )));
-        assert_eq!(p.mbal(), Ballot::new(4), "adopted the 2a ballot");
+        // A 2a below the shard's ballot gets no vote.
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::M2a {
+                mbal: Ballot::new(1),
+                slot: 4,
+                batch: one(8),
+            },
+            &mut o,
+        );
+        assert!(o.drain().is_empty(), "stale 2a ignored");
     }
 
     #[test]
     fn majority_2b_chooses_entry() {
         let mut p = spawn(3, 0);
         let mut o = out();
-        p.on_start(&mut o);
-        o.drain();
         let b = Ballot::new(4);
         for from in [1u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &MultiMsg::M2b {
                     mbal: b,
                     slot: 2,
@@ -1463,19 +971,20 @@ mod tests {
         }
         assert_eq!(p.log_entry(2), Some(&one(7)));
         assert_eq!(p.log_entry(0), None);
-        assert!(o
-            .drain()
-            .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: MultiMsg::LogDecided { slot: 2, .. } })));
+        assert!(o.drain().iter().any(|a| matches!(
+            a,
+            Action::Broadcast {
+                msg: MultiMsg::LogDecided { slot: 2, .. }
+            }
+        )));
     }
 
     #[test]
     fn log_decided_catchup() {
         let mut p = spawn(3, 0);
         let mut o = out();
-        p.on_start(&mut o);
-        o.drain();
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &MultiMsg::LogDecided {
                 slot: 5,
                 batch: one(50),
@@ -1489,37 +998,18 @@ mod tests {
     fn anchoring_recompletes_reported_slots() {
         let mut p = spawn(3, 1);
         let mut o = out();
-        p.on_start(&mut o);
-        p.on_timer(TIMER_SESSION, &mut o);
-        o.drain();
         let b = Ballot::new(4);
-        // p0 reports an old vote in slot 7.
-        p.on_message(ProcessId::new(0),
-            &MultiMsg::M1b {
-                mbal: b,
-                prefix: 0,
-                chosen: vec![],
-                votes: vec![SlotVote {
-                    slot: 7,
-                    vote: BatchVote {
-                        bal: Ballot::new(1),
-                        batch: one(70),
-                    },
-                }],
+        p.drive_ballot(b);
+        // The quorum reported an old vote in slot 7.
+        let best = BTreeMap::from([(
+            7,
+            BatchVote {
+                bal: Ballot::new(1),
+                batch: one(70),
             },
-            &mut o,
-        );
-        p.on_message(ProcessId::new(2),
-            &MultiMsg::M1b {
-                mbal: b,
-                prefix: 0,
-                chosen: vec![],
-                votes: vec![],
-            },
-            &mut o,
-        );
-        let acts = o.drain();
-        assert!(acts.iter().any(|a| matches!(
+        )]);
+        p.drive_anchor(b, 0, &BTreeMap::new(), &best, &mut o);
+        assert!(o.drain().iter().any(|a| matches!(
             a,
             Action::Broadcast { msg: MultiMsg::M2a { slot: 7, batch, .. } }
                 if **batch == [Value::new(70)]
@@ -1528,7 +1018,9 @@ mod tests {
         p.on_client(Value::new(1), &mut o);
         assert!(o.drain().iter().any(|a| matches!(
             a,
-            Action::Broadcast { msg: MultiMsg::M2a { slot: 8, .. } }
+            Action::Broadcast {
+                msg: MultiMsg::M2a { slot: 8, .. }
+            }
         )));
     }
 
@@ -1538,14 +1030,7 @@ mod tests {
         let mut o = out();
         anchor_p1(&mut p, &mut o);
         assert!(p.is_anchored());
-        p.on_message(ProcessId::new(2),
-            &MultiMsg::M1a {
-                mbal: Ballot::new(8), // session 2, owner p2
-                prefix: 0,
-            },
-            &mut o,
-        );
-        o.drain();
+        p.drive_ballot(Ballot::new(8)); // session 2, owner p2
         assert!(!p.is_anchored());
         assert_eq!(p.mbal(), Ballot::new(8));
     }
@@ -1557,10 +1042,9 @@ mod tests {
         anchor_p1(&mut p, &mut o);
         p.on_client(Value::new(77), &mut o);
         o.drain();
-        let later = LocalInstant::ZERO + cfg(3).epsilon_timer_local() * 4;
-        let mut o2 = Outbox::new(later);
-        p.on_timer(TIMER_EPSILON, &mut o2);
-        assert!(o2.drain().iter().any(|a| matches!(
+        assert!(p.has_live_proposals());
+        p.drive_repropose(&mut o);
+        assert!(o.drain().iter().any(|a| matches!(
             a,
             Action::Broadcast { msg: MultiMsg::M2a { slot: 0, batch, .. } }
                 if **batch == [Value::new(77)]
@@ -1568,103 +1052,10 @@ mod tests {
     }
 
     #[test]
-    fn decision_is_slot_zero() {
-        let mut p = spawn(3, 0);
-        let mut o = out();
-        p.on_start(&mut o);
-        o.drain();
-        assert_eq!(p.decision(), None);
-        for from in [1u32, 2] {
-            p.on_message(ProcessId::new(from),
-                &MultiMsg::M2b {
-                    mbal: Ballot::new(4),
-                    slot: 0,
-                    batch: one(7),
-                },
-                &mut o,
-            );
-        }
-        assert_eq!(p.decision(), Some(Value::new(7)));
-    }
-
-    #[test]
-    fn leader_traffic_suppresses_follower_takeover() {
-        let mut p = spawn(3, 2);
-        let mut o = out();
-        p.on_start(&mut o);
-        // Adopt leader p1's ballot 4 (session 1).
-        p.on_message(ProcessId::new(1),
-            &MultiMsg::M1a {
-                mbal: Ballot::new(4),
-                prefix: 0,
-            },
-            &mut o,
-        );
-        o.drain();
-        // The session timer expires…
-        p.on_timer(TIMER_SESSION, &mut o);
-        // …but condition (ii) is unmet (only p1 heard), so no takeover yet.
-        assert_eq!(p.session(), Session::new(1));
-        o.drain();
-        // Fresh leader traffic resets the timer (suppression): the timer
-        // expiry flag is cleared again.
-        p.on_message(ProcessId::new(1),
-            &MultiMsg::M2a {
-                mbal: Ballot::new(4),
-                slot: 0,
-                batch: one(9),
-            },
-            &mut o,
-        );
-        let acts = o.drain();
-        assert!(
-            acts.iter()
-                .any(|a| matches!(a, Action::SetTimer { id, .. } if *id == TIMER_SESSION)),
-            "leader liveness re-arms the follower's session timer"
-        );
-        // Even after hearing a majority in session 1, the cleared expiry
-        // flag blocks an immediate takeover.
-        p.on_message(ProcessId::new(0),
-            &MultiMsg::M1a {
-                mbal: Ballot::new(4),
-                prefix: 0,
-            },
-            &mut o,
-        );
-        assert_eq!(p.session(), Session::new(1), "no takeover while leader lives");
-    }
-
-    #[test]
-    fn anchored_leader_does_not_restart_phase1() {
-        let mut p = spawn(3, 1);
-        let mut o = out();
-        anchor_p1(&mut p, &mut o);
-        assert!(p.is_anchored());
-        let before = p.mbal();
-        p.on_timer(TIMER_SESSION, &mut o);
-        assert_eq!(p.mbal(), before, "anchored leaders keep their ballot");
-        assert!(p.is_anchored());
-    }
-
-    #[test]
-    fn session_gating_applies_to_multi() {
-        let mut p = spawn(5, 1);
-        let mut o = out();
-        p.on_start(&mut o);
-        p.on_timer(TIMER_SESSION, &mut o); // session 0 -> 1 (exempt)
-        o.drain();
-        assert_eq!(p.session(), Session::new(1));
-        p.on_timer(TIMER_SESSION, &mut o);
-        assert_eq!(p.session(), Session::new(1), "gated without majority");
-    }
-
-    #[test]
     fn full_window_accumulates_then_batches() {
         // W = 1, B = 3: the first command occupies the only pipeline slot;
         // the next three accumulate and leave as ONE batch when it commits.
-        let mut p = MultiPaxos::new()
-            .with_batching(3, 1)
-            .spawn(ProcessId::new(1), &cfg(3), Value::new(0));
+        let mut p = MultiPaxosProcess::new(ProcessId::new(1), 3, 3, 1, DEFAULT_ADMITTED_WINDOW);
         let mut o = out();
         let b = anchor_p1(&mut p, &mut o);
         p.on_client(Value::new(10), &mut o);
@@ -1678,13 +1069,19 @@ mod tests {
             p.on_client(Value::new(v), &mut o);
         }
         assert!(
-            !o.drain().iter().any(|a| matches!(a, Action::Broadcast { msg: MultiMsg::M2a { .. } })),
+            !o.drain().iter().any(|a| matches!(
+                a,
+                Action::Broadcast {
+                    msg: MultiMsg::M2a { .. }
+                }
+            )),
             "window full: no new proposal"
         );
         assert_eq!(p.pending_len(), 3);
         // Slot 0 commits: the backlog flushes as one 3-command batch.
         for from in [0u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &MultiMsg::M2b {
                     mbal: b,
                     slot: 0,
@@ -1706,11 +1103,10 @@ mod tests {
     fn batch_commit_decides_every_command() {
         let mut p = spawn(3, 0);
         let mut o = out();
-        p.on_start(&mut o);
-        o.drain();
         let batch = batch_of([Value::new(1), Value::new(2), Value::new(3)]);
         for from in [1u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &MultiMsg::M2b {
                     mbal: Ballot::new(4),
                     slot: 0,
@@ -1735,48 +1131,51 @@ mod tests {
     fn epsilon_reforwards_pending_at_followers() {
         let mut p = spawn(3, 2);
         let mut o = out();
-        p.on_start(&mut o);
         // Adopt leader p1's ballot 4, then submit: pending + one Forward.
-        p.on_message(ProcessId::new(1), &MultiMsg::M1a { mbal: Ballot::new(4), prefix: 0 }, &mut o);
+        p.drive_ballot(Ballot::new(4));
         p.on_client(Value::new(9), &mut o);
         o.drain();
-        // An idle ε tick retries the forward toward the presumed leader.
-        let later = LocalInstant::ZERO + cfg(3).epsilon_timer_local() * 4;
-        let mut o2 = Outbox::new(later);
-        p.on_timer(TIMER_EPSILON, &mut o2);
-        assert!(o2.drain().iter().any(|a| matches!(
+        // The group's idle ε tick retries the forward toward the leader.
+        p.drive_reforward(ProcessId::new(1), &mut o);
+        assert!(o.drain().iter().any(|a| matches!(
             a,
             Action::Send { to, msg: MultiMsg::Forward { value } }
                 if *to == ProcessId::new(1) && *value == Value::new(9)
         )));
         // Once the command commits, the retry stops.
         for from in [0u32, 1] {
-            p.on_message(ProcessId::new(from),
-                &MultiMsg::M2b { mbal: Ballot::new(4), slot: 0, batch: one(9) },
+            p.on_message(
+                ProcessId::new(from),
+                &MultiMsg::M2b {
+                    mbal: Ballot::new(4),
+                    slot: 0,
+                    batch: one(9),
+                },
                 &mut o,
             );
         }
+        o.drain();
         assert_eq!(p.pending_len(), 0, "commit prunes the held command");
-        let mut o3 = Outbox::new(later + cfg(3).epsilon_timer_local() * 4);
-        p.on_timer(TIMER_EPSILON, &mut o3);
-        assert!(
-            !o3.drain().iter().any(|a| matches!(a, Action::Send { msg: MultiMsg::Forward { .. }, .. })),
-            "no retry after commit"
-        );
+        p.drive_reforward(ProcessId::new(1), &mut o);
+        assert!(o.drain().is_empty(), "no retry after commit");
     }
 
     #[test]
     fn duplicate_forwards_are_admitted_once() {
         // W = 1 keeps the pipeline full, so retried forwards would pile up
         // in `pending` without admission dedup.
-        let mut p = MultiPaxos::new()
-            .with_batching(1, 1)
-            .spawn(ProcessId::new(1), &cfg(3), Value::new(0));
+        let mut p = MultiPaxosProcess::new(ProcessId::new(1), 3, 1, 1, DEFAULT_ADMITTED_WINDOW);
         let mut o = out();
         anchor_p1(&mut p, &mut o);
         p.on_client(Value::new(5), &mut o); // occupies the window
         for _ in 0..4 {
-            p.on_message(ProcessId::new(2), &MultiMsg::Forward { value: Value::new(6) }, &mut o);
+            p.on_message(
+                ProcessId::new(2),
+                &MultiMsg::Forward {
+                    value: Value::new(6),
+                },
+                &mut o,
+            );
         }
         o.drain();
         assert_eq!(p.pending_len(), 1, "retries of value 6 admitted once");
@@ -1790,18 +1189,35 @@ mod tests {
         let mut p = spawn(3, 1);
         let mut o = out();
         let b = anchor_p1(&mut p, &mut o);
-        p.on_message(ProcessId::new(2), &MultiMsg::Forward { value: Value::new(9) }, &mut o);
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::Forward {
+                value: Value::new(9),
+            },
+            &mut o,
+        );
         o.drain();
         // Slot 0 commits at the leader.
         for from in [0u32, 2] {
-            p.on_message(ProcessId::new(from),
-                &MultiMsg::M2b { mbal: b, slot: 0, batch: one(9) },
+            p.on_message(
+                ProcessId::new(from),
+                &MultiMsg::M2b {
+                    mbal: b,
+                    slot: 0,
+                    batch: one(9),
+                },
                 &mut o,
             );
         }
         o.drain();
         // The submitter retries: it gets the decided entry back.
-        p.on_message(ProcessId::new(2), &MultiMsg::Forward { value: Value::new(9) }, &mut o);
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::Forward {
+                value: Value::new(9),
+            },
+            &mut o,
+        );
         assert!(o.drain().iter().any(|a| matches!(
             a,
             Action::Send { to, msg: MultiMsg::LogDecided { slot: 0, batch } }
@@ -1819,17 +1235,24 @@ mod tests {
         let mut p = spawn(3, 1);
         let mut o = out();
         anchor_p1(&mut p, &mut o);
-        p.on_message(ProcessId::new(2),
-            &MultiMsg::LogDecided { slot: 0, batch: one(50) },
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::LogDecided {
+                slot: 0,
+                batch: one(50),
+            },
             &mut o,
         );
         o.drain();
         p.on_client(Value::new(7), &mut o);
-        assert!(o.drain().iter().any(|a| matches!(
-            a,
-            Action::Broadcast { msg: MultiMsg::M2a { slot: 1, batch, .. } }
-                if **batch == [Value::new(7)]
-        )), "fresh proposal lands past the learned entry, not on slot 0");
+        assert!(
+            o.drain().iter().any(|a| matches!(
+                a,
+                Action::Broadcast { msg: MultiMsg::M2a { slot: 1, batch, .. } }
+                    if **batch == [Value::new(7)]
+            )),
+            "fresh proposal lands past the learned entry, not on slot 0"
+        );
     }
 
     #[test]
@@ -1840,16 +1263,23 @@ mod tests {
         p.on_client(Value::new(7), &mut o); // proposed in slot 0
         o.drain();
         // A competing leader's different batch wins slot 0.
-        p.on_message(ProcessId::new(2),
-            &MultiMsg::LogDecided { slot: 0, batch: one(50) },
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::LogDecided {
+                slot: 0,
+                batch: one(50),
+            },
             &mut o,
         );
         // Our command is immediately re-proposed in a fresh slot.
-        assert!(o.drain().iter().any(|a| matches!(
-            a,
-            Action::Broadcast { msg: MultiMsg::M2a { slot: 1, batch, .. } }
-                if **batch == [Value::new(7)]
-        )), "losing batch re-proposed past the stolen slot");
+        assert!(
+            o.drain().iter().any(|a| matches!(
+                a,
+                Action::Broadcast { msg: MultiMsg::M2a { slot: 1, batch, .. } }
+                    if **batch == [Value::new(7)]
+            )),
+            "losing batch re-proposed past the stolen slot"
+        );
     }
 
     #[test]
@@ -1860,16 +1290,19 @@ mod tests {
         p.on_client(Value::new(7), &mut o); // proposed in slot 0, unchosen
         o.drain();
         // The same command commits elsewhere (slot 5) via another leader.
-        p.on_message(ProcessId::new(2),
-            &MultiMsg::LogDecided { slot: 5, batch: one(7) },
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::LogDecided {
+                slot: 5,
+                batch: one(7),
+            },
             &mut o,
         );
         o.drain();
         // Unanchoring must NOT requeue it: it is committed, and a requeue
         // would re-forward it every ε forever (commits never prune it
         // again).
-        p.on_message(ProcessId::new(2), &MultiMsg::M1a { mbal: Ballot::new(8), prefix: 0 }, &mut o);
-        o.drain();
+        p.drive_ballot(Ballot::new(8));
         assert!(!p.is_anchored());
         assert_eq!(p.pending_len(), 0, "committed command not requeued");
     }
@@ -1884,22 +1317,8 @@ mod tests {
         assert_eq!(p.pending_len(), 0);
         // A higher ballot takes over: the command must fall back to
         // pending, not vanish.
-        p.on_message(ProcessId::new(2), &MultiMsg::M1a { mbal: Ballot::new(8), prefix: 0 }, &mut o);
-        o.drain();
+        p.drive_ballot(Ballot::new(8));
         assert!(!p.is_anchored());
         assert_eq!(p.pending_len(), 1, "unchosen proposal requeued");
-    }
-
-    #[test]
-    fn default_batching_is_one_command_per_slot() {
-        let f = MultiPaxos::new();
-        assert_eq!(f.max_batch(), 1);
-        assert_eq!(f.max_outstanding(), usize::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one command")]
-    fn zero_batch_rejected() {
-        let _ = MultiPaxos::new().with_batching(0, 1);
     }
 }

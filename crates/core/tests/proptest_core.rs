@@ -222,22 +222,25 @@ proptest! {
         ops in proptest::collection::vec((0u32..3, 0u32..10_000), 1..250)
     ) {
         use esync_core::outbox::{Action, Outbox, Process, Protocol};
-        use esync_core::paxos::multi::{MultiMsg, MultiPaxos, TIMER_SESSION};
+        use esync_core::paxos::group::{GroupMsg, GroupPromise, LogGroup, ShardId, TIMER_SESSION};
+        use esync_core::paxos::multi::MultiMsg;
         use esync_core::ballot::Ballot;
         use std::collections::BTreeMap;
 
         let cfg = TimingConfig::for_n_processes(3).unwrap();
-        let mut p = MultiPaxos::new()
+        let mut p = LogGroup::new(1)
             .with_admitted_window(window)
             .spawn(ProcessId::new(1), &cfg, Value::new(0));
-        let mut o: Outbox<MultiMsg> = Outbox::new(LocalInstant::ZERO);
+        let mut o: Outbox<GroupMsg> = Outbox::new(LocalInstant::ZERO);
+        let shard = |msg| GroupMsg::Shard { shard: ShardId::ZERO, msg };
         // Anchor p1 on ballot 4 (session 1 of n = 3).
         p.on_start(&mut o);
         p.on_timer(TIMER_SESSION, &mut o);
         o.drain();
         let bal = Ballot::new(4);
         for from in [0u32, 2] {
-            p.on_message(ProcessId::new(from), &MultiMsg::M1b { mbal: bal, prefix: 0, chosen: vec![], votes: vec![] }, &mut o);
+            let promise = GroupMsg::G1b { mbal: bal, promise: GroupPromise::default() };
+            p.on_message(ProcessId::new(from), &promise, &mut o);
         }
         o.drain();
 
@@ -246,9 +249,12 @@ proptest! {
         let mut proposed: BTreeMap<u64, Value> = BTreeMap::new();
         let mut chosen: Vec<Value> = Vec::new(); // chosen[slot] = value
         let mut fresh = 0u64;
-        let observe = |o: &mut Outbox<MultiMsg>, proposed: &mut BTreeMap<u64, Value>| {
+        let observe = |o: &mut Outbox<GroupMsg>, proposed: &mut BTreeMap<u64, Value>| {
             for a in o.drain() {
-                if let Action::Broadcast { msg: MultiMsg::M2a { slot, batch, .. } } = a {
+                if let Action::Broadcast {
+                    msg: GroupMsg::Shard { msg: MultiMsg::M2a { slot, batch, .. }, .. },
+                } = a
+                {
                     proposed.entry(slot).or_insert(batch[0]);
                 }
             }
@@ -276,7 +282,8 @@ proptest! {
                         .collect();
                     if !candidates.is_empty() {
                         let v = candidates[pick as usize % candidates.len()];
-                        p.on_message(ProcessId::new(2), &MultiMsg::Forward { value: v }, &mut o);
+                        let retry = shard(MultiMsg::Forward { value: v });
+                        p.on_message(ProcessId::new(2), &retry, &mut o);
                         observe(&mut o, &mut proposed);
                     }
                 }
@@ -290,7 +297,7 @@ proptest! {
                         for from in [0u32, 2] {
                             p.on_message(
                                 ProcessId::new(from),
-                                &MultiMsg::M2b { mbal: bal, slot, batch: batch.clone() },
+                                &shard(MultiMsg::M2b { mbal: bal, slot, batch: batch.clone() }),
                                 &mut o,
                             );
                         }
@@ -299,12 +306,14 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(p.chosen_prefix(), chosen.len() as u64, "in-order commits");
+            let prefix = p.shard(ShardId::ZERO).chosen_prefix();
+            prop_assert_eq!(prefix, chosen.len() as u64, "in-order commits");
         }
 
         // No value committed twice — retry dedup held across every
         // compaction boundary the run crossed.
         let mut seen = std::collections::BTreeSet::new();
+        let p = p.shard(ShardId::ZERO);
         for v in p.log_values() {
             prop_assert!(seen.insert(v), "value {} committed in two slots", v);
         }
@@ -397,8 +406,8 @@ proptest! {
                     .votes
                     .iter()
                     .map(|v| {
-                        prop_assert_eq!(v.values.len(), 1);
-                        Ok((v.slot, v.bal, v.values[0]))
+                        prop_assert_eq!(v.vote.batch.len(), 1);
+                        Ok((v.slot, v.vote.bal, v.vote.batch[0]))
                     })
                     .collect::<Result<_, _>>()?;
                 prop_assert_eq!(got, expect, "p{} shard {} promise mismatch", p, s);
@@ -460,7 +469,7 @@ proptest! {
         use esync_core::outbox::{Action, Outbox, Process, Protocol};
         use esync_core::paxos::group::rebalance::RebalanceConfig;
         use esync_core::paxos::group::{GroupMsg, LogGroup, ShardRouter};
-        use esync_core::paxos::multi::TIMER_SESSION;
+        use esync_core::paxos::group::TIMER_SESSION;
         use esync_core::types::{kv_command, kv_key, ShardId};
         use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -528,7 +537,7 @@ proptest! {
                 for i in 0..N {
                     if alive[i] {
                         let mut o = Outbox::new(now);
-                        procs[i].on_timer(esync_core::paxos::multi::TIMER_EPSILON, &mut o);
+                        procs[i].on_timer(esync_core::paxos::group::TIMER_EPSILON, &mut o);
                         route(i, &mut o, &mut queue);
                     }
                 }

@@ -1374,7 +1374,7 @@ mod tests {
 
     #[test]
     fn submit_to_down_process_is_ignored() {
-        use esync_core::paxos::multi::MultiPaxos;
+        use esync_core::paxos::group::{LogGroup, ShardId};
         let cfg = SimConfig::builder(3)
             .seed(11)
             .stability_at_millis(0)
@@ -1390,10 +1390,11 @@ mod tests {
             )
             .build()
             .unwrap();
-        let mut w = World::new(cfg, MultiPaxos::new());
+        let mut w = World::new(cfg, LogGroup::new(1));
         w.run_until(SimTime::from_secs(2));
         let committed: Vec<u64> = w
             .process(ProcessId::new(0))
+            .shard(ShardId::ZERO)
             .log_values()
             .map(|v| v.get())
             .collect();
@@ -1407,7 +1408,7 @@ mod tests {
     #[test]
     fn submit_streams_drive_the_log() {
         use crate::scenario::{SubmitStream, kv_id};
-        use esync_core::paxos::multi::MultiPaxos;
+        use esync_core::paxos::group::{LogGroup, ShardId};
         use esync_core::time::RealDuration;
         let stream = SubmitStream::fixed_rate(
             SimTime::from_millis(500),
@@ -1423,11 +1424,11 @@ mod tests {
             .scenario(Scenario::none().stream(stream))
             .build()
             .unwrap();
-        let mut w = World::new(cfg, MultiPaxos::new());
+        let mut w = World::new(cfg, LogGroup::new(1));
         w.run_until(SimTime::from_secs(2));
         for pid in ProcessId::all(3) {
-            let ids: std::collections::BTreeSet<u64> =
-                w.process(pid).log_values().map(kv_id).collect();
+            let log = w.process(pid).shard(ShardId::ZERO);
+            let ids: std::collections::BTreeSet<u64> = log.log_values().map(kv_id).collect();
             assert_eq!(ids, (0..6).collect(), "{pid}: stream commands missing");
         }
     }

@@ -31,8 +31,9 @@
 //! *shifting* hotspot — so the skewed/adversarial distributions that
 //! stress a range-partitioned router (and justify its live rebalancer)
 //! are first-class, deterministic and seedable. The drivers are generic
-//! over the log protocol — the plain [`MultiPaxos`] or the sharded
-//! [`LogGroup`](esync_core::paxos::group::LogGroup), whose
+//! over the log protocol, in practice the
+//! [`LogGroup`](esync_core::paxos::group::LogGroup) — one shard is the
+//! plain replicated log, and its
 //! [`ShardRouter`](esync_core::paxos::group::ShardRouter) partitions the
 //! key space across `S` independent shards *inside* the process, so the
 //! submitted command sequence is bit-identical across shard counts and
@@ -44,7 +45,6 @@
 //! ([`esync_sim::metrics::ShardSummary`], artifact schema v3+).
 //!
 //! [`Value`]: esync_core::types::Value
-//! [`MultiPaxos`]: esync_core::paxos::multi::MultiPaxos
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

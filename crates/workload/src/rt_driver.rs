@@ -262,7 +262,7 @@ fn submit_one<P>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esync_core::paxos::multi::MultiPaxos;
+    use esync_core::paxos::group::LogGroup;
 
     #[test]
     fn closed_loop_over_threads_commits_everywhere() {
@@ -272,7 +272,7 @@ mod tests {
         let spec = ClosedLoopSpec::new(2, 2, 12).seed(3);
         let out = run_closed_loop(
             cfg,
-            MultiPaxos::new().with_batching(4, 2),
+            LogGroup::new(1).with_batching(4, 2),
             &spec,
             Duration::from_millis(300),
             Duration::from_secs(30),

@@ -42,8 +42,8 @@ pub struct SimWorkloadOutcome {
 
 /// Slot-by-slot log agreement across all processes, per shard: no two
 /// processes hold different batches in the same `(shard, slot)`. Works
-/// over any log protocol exposing [`ShardedLogView`] — the plain
-/// `MultiPaxos` log (one shard) and the sharded `LogGroup` alike.
+/// over any log protocol exposing [`ShardedLogView`] — a `LogGroup` of
+/// any shard count, one shard being the plain log.
 fn logs_agree<P>(world: &World<P>) -> bool
 where
     P: Protocol,
@@ -87,11 +87,10 @@ where
 /// The pre-/post-stability split classifies a command by its *submission*
 /// instant relative to the configuration's `TS`.
 ///
-/// Generic over the log protocol: drive a plain
-/// [`MultiPaxos`](esync_core::paxos::multi::MultiPaxos) or a sharded
-/// [`LogGroup`](esync_core::paxos::group::LogGroup) — shard routing
-/// happens inside the processes, so the submitted command sequence is
-/// bit-identical across shard counts.
+/// Generic over the log protocol: drive a
+/// [`LogGroup`](esync_core::paxos::group::LogGroup) of any shard count —
+/// shard routing happens inside the processes, so the submitted command
+/// sequence is bit-identical across shard counts.
 pub fn run_open_loop<P>(cfg: SimConfig, protocol: P, horizon: SimTime) -> SimWorkloadOutcome
 where
     P: Protocol,
@@ -293,7 +292,6 @@ fn submit_one<P: Protocol>(
 mod tests {
     use super::*;
     use esync_core::paxos::group::LogGroup;
-    use esync_core::paxos::multi::MultiPaxos;
     use esync_sim::scenario::SubmitStream;
     use esync_sim::{PreStability, Scenario};
 
@@ -311,7 +309,7 @@ mod tests {
         let spec = ClosedLoopSpec::new(3, 2, 40).seed(1);
         let out = run_closed_loop(
             stable_cfg(3, 1),
-            MultiPaxos::new(),
+            LogGroup::new(1),
             &spec,
             SimTime::from_millis(500),
             SimTime::from_secs(60),
@@ -330,7 +328,7 @@ mod tests {
         let run = || {
             run_closed_loop(
                 stable_cfg(5, 7),
-                MultiPaxos::new().with_batching(4, 2),
+                LogGroup::new(1).with_batching(4, 2),
                 &spec,
                 SimTime::from_millis(500),
                 SimTime::from_secs(60),
@@ -354,7 +352,7 @@ mod tests {
         .seed(2);
         let mut cfg = stable_cfg(3, 3);
         cfg.scenario = Scenario::none().stream(stream);
-        let out = run_open_loop(cfg, MultiPaxos::new(), SimTime::from_secs(3));
+        let out = run_open_loop(cfg, LogGroup::new(1), SimTime::from_secs(3));
         assert_eq!(out.summary.submitted, 30);
         assert_eq!(out.summary.committed, 30);
         assert!(out.log_agreement);
@@ -380,7 +378,7 @@ mod tests {
                 .build()
                 .unwrap();
             cfg.scenario = Scenario::none().stream(stream);
-            run_open_loop(cfg, MultiPaxos::new(), SimTime::from_secs(5))
+            run_open_loop(cfg, LogGroup::new(1), SimTime::from_secs(5))
         };
         let a = mk();
         let b = mk();
@@ -417,7 +415,7 @@ mod tests {
     fn traced_run_measures_phases_without_perturbing_the_run() {
         let spec = ClosedLoopSpec::new(3, 2, 40).seed(1);
         let run = |traced| {
-            let mut world = World::new(stable_cfg(3, 1), MultiPaxos::new());
+            let mut world = World::new(stable_cfg(3, 1), LogGroup::new(1));
             if traced {
                 world.enable_typed_trace(1 << 16);
             }
@@ -445,7 +443,7 @@ mod tests {
     fn metered_run_attaches_health_without_perturbing_the_run() {
         let spec = ClosedLoopSpec::new(3, 2, 40).seed(1);
         let run = |metered| {
-            let mut world = World::new(stable_cfg(3, 1), MultiPaxos::new());
+            let mut world = World::new(stable_cfg(3, 1), LogGroup::new(1));
             if metered {
                 world.enable_metrics(
                     esync_core::time::RealDuration::from_millis(50),
@@ -499,7 +497,7 @@ mod tests {
             .build()
             .unwrap();
         cfg.scenario = Scenario::none().stream(stream);
-        let out = run_open_loop(cfg, MultiPaxos::new(), SimTime::from_secs(10));
+        let out = run_open_loop(cfg, LogGroup::new(1), SimTime::from_secs(10));
         let pre = out.summary.pre_ts.expect("pre-TS submissions exist");
         let post = out.summary.post_ts.expect("post-TS submissions exist");
         assert!(pre.count > 0 && post.count > 0);

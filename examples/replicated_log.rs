@@ -1,4 +1,4 @@
-//! A replicated key-value store on the multi-instance layer — the workload
+//! A replicated key-value store on the replicated log (`LogGroup::new(1)`) — the workload
 //! the paper's introduction motivates: consensus as the core of a
 //! replicated service that must recover fast when the network stabilizes.
 //!
@@ -10,7 +10,7 @@
 //! cargo run --example replicated_log
 //! ```
 
-use esync::core::paxos::multi::MultiPaxos;
+use esync::core::paxos::group::{LogGroup, ShardId};
 use esync::core::types::{ProcessId, Value};
 use esync::sim::{PreStability, Scenario, SimConfig, SimTime, World};
 use std::collections::BTreeMap;
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .pre_stability(PreStability::chaos())
         .scenario(scenario)
         .build()?;
-    let mut world = World::new(cfg, MultiPaxos::new());
+    let mut world = World::new(cfg, LogGroup::new(1));
     world.run_until(SimTime::from_secs(3));
 
     let leader = ProcessId::all(n)
@@ -87,9 +87,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("replicated KV over multi-instance session Paxos, n={n}");
     println!("anchored leader: {leader}\n");
 
-    let reference = apply(&table, world.process(ProcessId::new(0)).log_values());
+    let reference = apply(
+        &table,
+        world
+            .process(ProcessId::new(0))
+            .shard(ShardId::ZERO)
+            .log_values(),
+    );
     for pid in ProcessId::all(n) {
-        let proc = world.process(pid);
+        let proc = world.process(pid).shard(ShardId::ZERO);
         let kv = apply(&table, proc.log_values());
         println!(
             "{pid}: {} log entries, kv state {:?}",

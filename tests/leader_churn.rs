@@ -13,7 +13,6 @@
 
 use esync::core::outbox::Process;
 use esync::core::paxos::group::{LogGroup, ShardId};
-use esync::core::paxos::multi::MultiPaxos;
 use esync::core::types::ProcessId;
 use esync::sim::scenario::kv_id;
 use esync::sim::{PreStability, SimConfig, SimTime, World};
@@ -45,7 +44,7 @@ fn crashing_the_anchored_leader_mid_closed_loop_completes_on_the_simulator() {
         .max_time(SimTime::from_secs(300))
         .build()
         .unwrap();
-    let mut world = World::new(cfg, MultiPaxos::new().with_batching(2, 4));
+    let mut world = World::new(cfg, LogGroup::new(1).with_batching(2, 4));
 
     // Warm up until some process anchors as leader.
     let warmup_limit = SimTime::from_secs(5);
@@ -114,6 +113,7 @@ fn crashing_the_anchored_leader_mid_closed_loop_completes_on_the_simulator() {
     // The crashed-and-restarted leader converges to the same log.
     let reference: Vec<u64> = world
         .process(ProcessId::new(0))
+        .shard(ShardId::ZERO)
         .log_values()
         .map(kv_id)
         .collect();
@@ -237,7 +237,7 @@ fn crashing_the_anchored_leader_mid_closed_loop_completes_on_the_runtime() {
     let cfg = ClusterConfig::new(N)
         .delta(Duration::from_millis(5))
         .seed(31);
-    let cluster = Cluster::spawn(cfg, MultiPaxos::new().with_batching(2, 4)).unwrap();
+    let cluster = Cluster::spawn(cfg, LogGroup::new(1).with_batching(2, 4)).unwrap();
 
     // Wait for a leader to announce itself.
     let deadline = Duration::from_secs(20);

@@ -17,7 +17,6 @@
 use esync::core::metrics::{Metric, METRIC_COUNT};
 use esync::core::outbox::Process;
 use esync::core::paxos::group::LogGroup;
-use esync::core::paxos::multi::MultiPaxos;
 use esync::core::paxos::session::SessionPaxos;
 use esync::core::types::ProcessId;
 use esync::core::time::RealDuration;
@@ -41,7 +40,7 @@ fn sim_cfg(seed: u64) -> SimConfig {
 
 fn metered_outcome(seed: u64) -> sim_driver::SimWorkloadOutcome {
     let spec = ClosedLoopSpec::new(3, 2, COMMANDS).seed(seed);
-    let mut world = World::new(sim_cfg(seed), MultiPaxos::new());
+    let mut world = World::new(sim_cfg(seed), LogGroup::new(1));
     world.enable_metrics(INTERVAL, WatchdogConfig::default());
     world.run_until(SimTime::from_millis(500));
     sim_driver::run_closed_loop_on(&mut world, &spec, SimTime::from_secs(60))
@@ -73,6 +72,22 @@ fn same_seed_gives_identical_snapshot_series() {
 }
 
 #[test]
+fn metered_only_runs_count_proposals() {
+    // The observation seam treats every event alike: a run that meters
+    // without tracing still counts each proposed command.
+    let out = metered_outcome(5);
+    assert_eq!(out.summary.committed, COMMANDS);
+    let health = out.summary.health.expect("metered run attaches health");
+    let last = health.snapshots.last().expect("cadence produced samples");
+    assert!(last.counter(Metric::Decided) > 0, "the run commits");
+    assert!(
+        last.counter(Metric::Proposed) > 0,
+        "metered-only runs count proposals: {:?}",
+        last
+    );
+}
+
+#[test]
 fn noop_metering_is_bit_identical_on_the_simulator() {
     // Workload drive: disabled metering reproduces summary + report
     // (events, msgs_by_kind) seed-for-seed; enabled metering only adds
@@ -80,7 +95,7 @@ fn noop_metering_is_bit_identical_on_the_simulator() {
     let spec = ClosedLoopSpec::new(3, 2, COMMANDS).seed(5);
     let plain = sim_driver::run_closed_loop(
         sim_cfg(5),
-        MultiPaxos::new(),
+        LogGroup::new(1),
         &spec,
         SimTime::from_millis(500),
         SimTime::from_secs(60),
@@ -120,7 +135,7 @@ fn noop_metering_preserves_runtime_outcomes() {
         let spec = ClosedLoopSpec::new(3, 2, COMMANDS).seed(7);
         rt_driver::run_closed_loop(
             cfg,
-            MultiPaxos::new().with_batching(4, 2),
+            LogGroup::new(1).with_batching(4, 2),
             &spec,
             Duration::from_millis(300),
             Duration::from_secs(30),
@@ -238,7 +253,7 @@ fn crashing_the_anchor_trips_churn_and_stall() {
             .max_time(SimTime::from_secs(300))
             .build()
             .unwrap();
-        let mut world = World::new(cfg, MultiPaxos::new());
+        let mut world = World::new(cfg, LogGroup::new(1));
         world.enable_metrics(INTERVAL, WatchdogConfig::default());
 
         // Warm up until some process anchors as leader.

@@ -5,7 +5,7 @@
 
 use esync::check::{Budgets, Explorer};
 use esync::core::bconsensus::BConsensus;
-use esync::core::paxos::multi::MultiPaxos;
+use esync::core::paxos::group::LogGroup;
 use esync::core::paxos::session::SessionPaxos;
 use esync::core::paxos::traditional::TraditionalPaxos;
 use esync::core::round_based::RotatingCoordinator;
@@ -88,7 +88,7 @@ fn bconsensus_original_safe_under_adversarial_oracle() {
 
 #[test]
 fn multipaxos_exhaustive_small_world() {
-    let report = Explorer::new(MultiPaxos::new(), 2)
+    let report = Explorer::new(LogGroup::new(1), 2)
         .budgets(Budgets {
             drops: 1,
             crashes: 1,
@@ -98,6 +98,28 @@ fn multipaxos_exhaustive_small_world() {
         .max_states(120_000)
         .explore();
     assert!(report.violation.is_none(), "{:?}", report.violation);
+}
+
+/// The replicated log's state space is pinned: `LogGroup::new(1)` at
+/// n = 2 explores exactly the states and transitions the standalone
+/// single-log session did. Any state the group carries between events
+/// beyond the protocol's own (say, a reused buffer's clock) would split
+/// states and show up here.
+#[test]
+fn log_group_s1_state_space_is_pinned() {
+    let report = Explorer::new(LogGroup::new(1), 2)
+        .budgets(Budgets {
+            drops: 1,
+            crashes: 1,
+            leader_lies: 0,
+        })
+        .max_depth(5)
+        .max_states(120_000)
+        .explore();
+    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert!(report.frontier_exhausted, "depth 5 explored completely");
+    assert_eq!(report.states_seen, 30_049);
+    assert_eq!(report.transitions, 69_396);
 }
 
 #[test]
@@ -123,7 +145,7 @@ fn deep_random_walks_three_processes_all_protocols() {
         .budgets(budgets)
         .random_walks(25, 200, 4);
     assert!(r.violation.is_none(), "bconsensus: {:?}", r.violation);
-    let r = Explorer::new(MultiPaxos::new(), 3)
+    let r = Explorer::new(LogGroup::new(1), 3)
         .budgets(budgets)
         .random_walks(25, 200, 5);
     assert!(r.violation.is_none(), "multipaxos: {:?}", r.violation);

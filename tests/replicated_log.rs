@@ -1,7 +1,7 @@
-//! The multi-instance layer (replicated log): phase 1 runs once, commands
+//! The replicated log (`LogGroup::new(1)`): phase 1 runs once, commands
 //! commit with a single 2a/2b exchange — §4 "Reducing Message Complexity".
 
-use esync_core::paxos::multi::MultiPaxos;
+use esync_core::paxos::group::{LogGroup, ShardId};
 use esync_core::types::{ProcessId, Value};
 use esync_sim::{PreStability, Scenario, SimConfig, SimTime, World};
 
@@ -10,7 +10,7 @@ fn run_log(
     seed: u64,
     submits: Vec<(ProcessId, SimTime, Value)>,
     horizon: SimTime,
-) -> World<MultiPaxos> {
+) -> World<LogGroup> {
     let mut scenario = Scenario::none();
     for (pid, at, v) in submits {
         scenario = scenario.submit(pid, at, v);
@@ -22,7 +22,7 @@ fn run_log(
         .scenario(scenario)
         .build()
         .unwrap();
-    let mut w = World::new(cfg, MultiPaxos::new());
+    let mut w = World::new(cfg, LogGroup::new(1));
     w.run_until(horizon);
     w
 }
@@ -43,7 +43,12 @@ fn commands_land_in_the_log_everywhere() {
     let w = run_log(n, 1, submits, SimTime::from_secs(2));
     // Every submitted command appears in every process's log.
     for pid in ProcessId::all(n) {
-        let values: Vec<u64> = w.process(pid).log_values().map(|v| v.get()).collect();
+        let values: Vec<u64> = w
+            .process(pid)
+            .shard(ShardId::ZERO)
+            .log_values()
+            .map(|v| v.get())
+            .collect();
         for expected in [1001, 1002, 1003] {
             assert!(
                 values.contains(&expected),
@@ -65,10 +70,14 @@ fn logs_agree_slot_by_slot() {
         ));
     }
     let w = run_log(n, 2, submits, SimTime::from_secs(3));
-    let reference = w.process(ProcessId::new(0)).log().clone();
+    let reference = w
+        .process(ProcessId::new(0))
+        .shard(ShardId::ZERO)
+        .log()
+        .clone();
     assert!(!reference.is_empty());
     for pid in ProcessId::all(n) {
-        let log = w.process(pid).log();
+        let log = w.process(pid).shard(ShardId::ZERO).log();
         for (slot, batch) in log.iter() {
             assert_eq!(
                 reference.get(slot),
@@ -110,7 +119,10 @@ fn commit_latency_is_a_few_message_delays_once_anchored() {
     // process; allow 3δ for the submit event itself and jitter.
     for pid in ProcessId::all(n) {
         assert!(
-            w.process(pid).log_values().any(|v| v.get() == 7777),
+            w.process(pid)
+                .shard(ShardId::ZERO)
+                .log_values()
+                .any(|v| v.get() == 7777),
             "{pid}: command not committed within 3δ of submission"
         );
     }
@@ -132,7 +144,10 @@ fn forwarded_commands_survive_non_leader_submission() {
     );
     for pid in ProcessId::all(n) {
         assert!(
-            w.process(pid).log_values().any(|v| v.get() == 4242),
+            w.process(pid)
+                .shard(ShardId::ZERO)
+                .log_values()
+                .any(|v| v.get() == 4242),
             "{pid}: forwarded command missing"
         );
     }
@@ -152,16 +167,23 @@ fn log_survives_chaotic_prestability() {
         )
         .build()
         .unwrap();
-    let mut w = World::new(cfg, MultiPaxos::new());
+    let mut w = World::new(cfg, LogGroup::new(1));
     w.run_until(SimTime::from_secs(3));
     // The post-TS command must be everywhere; the pre-TS one may have been
     // lost in transit to a leader (at-least-once applies to delivery into
     // the log, not to lossy submission paths) — but logs must agree.
-    let reference = w.process(ProcessId::new(0)).log().clone();
+    let reference = w
+        .process(ProcessId::new(0))
+        .shard(ShardId::ZERO)
+        .log()
+        .clone();
     for pid in ProcessId::all(n) {
-        let log = w.process(pid).log();
+        let log = w.process(pid).shard(ShardId::ZERO).log();
         assert!(
-            w.process(pid).log_values().any(|v| v.get() == 9002),
+            w.process(pid)
+                .shard(ShardId::ZERO)
+                .log_values()
+                .any(|v| v.get() == 9002),
             "{pid}: post-TS command missing"
         );
         for (slot, batch) in log.iter() {

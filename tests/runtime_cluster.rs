@@ -2,7 +2,7 @@
 //! wall-clock timers and drifting clocks.
 
 use esync_core::bconsensus::BConsensus;
-use esync_core::paxos::multi::MultiPaxos;
+use esync_core::paxos::group::LogGroup;
 use esync_core::paxos::session::SessionPaxos;
 use esync_core::paxos::traditional::TraditionalPaxos;
 use esync_core::round_based::RotatingCoordinator;
@@ -71,7 +71,7 @@ fn replicated_log_over_threads() {
     let cfg = ClusterConfig::new(3)
         .delta(Duration::from_millis(5))
         .seed(15);
-    let cluster = Cluster::spawn(cfg, MultiPaxos::new()).unwrap();
+    let cluster = Cluster::spawn(cfg, LogGroup::new(1)).unwrap();
     // Give the cluster time to anchor, then submit to every node; slot 0's
     // decision is what `await_decisions` reports.
     std::thread::sleep(Duration::from_millis(300));

@@ -11,7 +11,6 @@
 //!    by enabling collection.
 
 use esync::core::paxos::group::LogGroup;
-use esync::core::paxos::multi::MultiPaxos;
 use esync::core::paxos::session::SessionPaxos;
 use esync::sim::{PreStability, SimConfig, SimTime, World};
 use esync::trace::jsonl::{parse_jsonl, write_jsonl, Line, TraceMeta};
@@ -130,7 +129,7 @@ fn noop_tracing_preserves_runtime_outcomes() {
         let spec = ClosedLoopSpec::new(3, 2, COMMANDS).seed(7);
         rt_driver::run_closed_loop(
             cfg,
-            MultiPaxos::new().with_batching(4, 2),
+            LogGroup::new(1).with_batching(4, 2),
             &spec,
             Duration::from_millis(300),
             Duration::from_secs(30),
