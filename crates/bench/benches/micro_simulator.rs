@@ -295,10 +295,10 @@ fn bench_metrics_overhead(c: &mut Criterion) {
     });
 }
 
-/// Steady-state calendar-queue churn at a simulator-realistic size
-/// (~6000 pending events, delays within a 10ms band).
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_steady_state_6k", |b| {
+/// Event-queue churn at a simulator-realistic size: ~6000 pending events,
+/// each pop followed by one push up to `horizon_ns` after it.
+fn queue_churn(c: &mut Criterion, name: &str, horizon_ns: u64) {
+    c.bench_function(name, |b| {
         let mut q: EventQueue<PaxosMsg> = EventQueue::with_capacity(8 * 1024);
         let mut now = 0u64;
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
@@ -322,68 +322,25 @@ fn bench_event_queue(c: &mut Criterion) {
         };
         for _ in 0..6000 {
             let r = rand();
-            let (at, k) = mk(now + r % 10_000_000, r);
+            let (at, k) = mk(now + r % horizon_ns, r);
             q.push(at, k);
         }
         b.iter(|| {
             let e = q.pop().unwrap();
             now = e.at.as_nanos();
             let r = rand();
-            let (at, k) = mk(now + 1 + r % 10_000_000, r);
+            let (at, k) = mk(now + 1 + r % horizon_ns, r);
             q.push(at, k);
             black_box(e.seq)
         });
     });
 }
 
-/// Wide-horizon calendar-queue churn: ~6000 pending timers spread over a
-/// ~4s horizon — 250× the 16.8ms ring span of the fixed 2^14ns bucket
-/// width, so the fixed queue funnels nearly every push through the far
-/// heap. The adaptive queue re-buckets to ~2^23ns after one observation
-/// window and keeps the ring hit rate; the delta between the `_fixed`
-/// and `_adaptive` entries in `BENCH_micro.json` is the re-bucketing win.
-fn bench_event_queue_wide_horizon(c: &mut Criterion) {
-    let mut run = |name: &str, adaptive: bool| {
-        c.bench_function(name, |b| {
-            let mut q: EventQueue<PaxosMsg> = EventQueue::with_bucket_width_shift(14, 8 * 1024);
-            q.set_adaptive(adaptive);
-            let mut now = 0u64;
-            let mut x = 0x9e37_79b9_7f4a_7c15u64;
-            let mut rand = move || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x
-            };
-            let mk = |at: u64, r: u64| {
-                (
-                    SimTime::from_nanos(at),
-                    EventKind::Deliver {
-                        from: ProcessId::new(0),
-                        to: ProcessId::new((r % 17) as u32),
-                        msg: MsgPayload::Owned(PaxosMsg::P1a {
-                            mbal: Ballot::new(r),
-                        }),
-                    },
-                )
-            };
-            for _ in 0..6000 {
-                let r = rand();
-                let (at, k) = mk(now + r % 4_000_000_000, r);
-                q.push(at, k);
-            }
-            b.iter(|| {
-                let e = q.pop().unwrap();
-                now = e.at.as_nanos();
-                let r = rand();
-                let (at, k) = mk(now + 1 + r % 4_000_000_000, r);
-                q.push(at, k);
-                black_box(e.seq)
-            });
-        });
-    };
-    run("event_queue_wide_horizon_fixed", false);
-    run("event_queue_wide_horizon_adaptive", true);
+/// Queue churn with delays within a 10ms band (δ-scale) and over a ~4s
+/// horizon (timer-scale).
+fn bench_event_queue(c: &mut Criterion) {
+    queue_churn(c, "event_queue_steady_state_6k", 10_000_000);
+    queue_churn(c, "event_queue_wide_horizon_6k", 4_000_000_000);
 }
 
 /// Whole-sweep wall time through the parallel engine (single-thread vs
@@ -429,8 +386,7 @@ criterion_group! {
     config = Criterion::default().sample_size(20);
     targets = bench_end_to_end, bench_log_group_workload, bench_chaos_run,
               bench_protocol_step, bench_promise_truncation,
-              bench_decision_tracker, bench_event_queue,
-              bench_event_queue_wide_horizon, bench_sweep,
+              bench_decision_tracker, bench_event_queue, bench_sweep,
               bench_trace_overhead, bench_metrics_overhead
 }
 criterion_main!(benches);

@@ -121,17 +121,14 @@ impl GroupPromise {
     /// wins (a reported vote replaces the current best iff its ballot is
     /// strictly higher) — the leader's phase-1b value-selection rule, per
     /// shard.
-    /// Reports for shards beyond `best.len()` are ignored (heterogeneous
-    /// shard counts are outside the model).
+    /// Reports for shards beyond `best.len()` are ignored: a peer's
+    /// promise is message input, and heterogeneous shard counts are
+    /// outside the model.
     pub fn fold_into(
         &self,
         chosen: &mut [BTreeMap<u64, Batch>],
         best: &mut [BTreeMap<u64, BatchVote>],
     ) {
-        debug_assert!(
-            self.shards.len() <= best.len(),
-            "promise reports more shards than the group runs"
-        );
         debug_assert_eq!(chosen.len(), best.len());
         for ((per_chosen, per_best), report) in chosen
             .iter_mut()
@@ -1083,7 +1080,6 @@ impl LogGroupProcess {
         if update.boundaries.len() != self.shards.len() - 1
             || !update.boundaries.windows(2).all(|w| w[0] < w[1])
         {
-            debug_assert!(false, "router update does not fit this group");
             return;
         }
         let old = match &self.router {
@@ -1189,7 +1185,6 @@ impl Process for LogGroupProcess {
                     // A tag this group does not know (mixed-S deployments
                     // are outside the model): drop rather than corrupt a
                     // live shard.
-                    debug_assert!(false, "message for unknown shard {shard}");
                     return;
                 }
                 // A higher-ballot 2a is a leadership claim over the whole
@@ -1777,6 +1772,65 @@ mod tests {
     }
 
     #[test]
+    fn unknown_shard_tag_is_dropped_without_effect() {
+        let mut p = spawn(2, 3, 1);
+        let mut o = out();
+        p.on_start(&mut o);
+        o.drain();
+        let before = format!("{p:?}");
+        // A higher-ballot 2a would otherwise adopt its ballot group-wide.
+        p.on_message(
+            ProcessId::new(0),
+            &GroupMsg::Shard {
+                shard: ShardId::new(7),
+                msg: MultiMsg::M2a {
+                    mbal: Ballot::new(9),
+                    slot: 0,
+                    batch: batch_of([Value::new(5)]),
+                },
+            },
+            &mut o,
+        );
+        assert_eq!(format!("{p:?}"), before, "group state unchanged");
+        assert!(o.is_empty(), "nothing emitted");
+    }
+
+    #[test]
+    fn promise_with_extra_shards_folds_like_its_known_shards() {
+        // A G1b reporting three shards to a two-shard group: the third
+        // report is ignored, so state and outbox match those after the
+        // same promise cut to the group's two shards.
+        let report = |v: u64| VoteReport {
+            prefix: 0,
+            chosen: vec![],
+            votes: vec![vote(0, 3, v)],
+        };
+        let oversize = GroupPromise {
+            shards: vec![report(10), report(11), report(12)],
+        };
+        let cut = GroupPromise {
+            shards: oversize.shards[..2].to_vec(),
+        };
+        let mut p = spawn(2, 3, 1);
+        let mut o = out();
+        p.on_start(&mut o);
+        p.on_timer(TIMER_SESSION, &mut o);
+        o.drain();
+        let mut q = p.clone();
+        let mut oq = out();
+        let mbal = Ballot::new(4);
+        let empty = GroupPromise::default();
+        for (from, sent, seen) in [(0u32, oversize, cut), (2, empty.clone(), empty)] {
+            let from_pid = ProcessId::new(from);
+            p.on_message(from_pid, &GroupMsg::G1b { mbal, promise: sent }, &mut o);
+            q.on_message(from_pid, &GroupMsg::G1b { mbal, promise: seen }, &mut oq);
+            assert_eq!(format!("{p:?}"), format!("{q:?}"), "state after the G1b from {from}");
+            assert_eq!(o.drain(), oq.drain(), "outbox after the G1b from {from}");
+        }
+        assert!(p.is_anchored(), "the quorum still anchors the group");
+    }
+
+    #[test]
     fn suppression_group_leader_traffic_defers_takeover() {
         // Follower p2 adopts leader p1's ballot 4; leader traffic on ANY
         // layer (here a shard 2a) resets the single group session timer.
@@ -2228,6 +2282,25 @@ mod tests {
         }, &mut o);
         assert_eq!(p.router_epoch(), 2, "log walk skips applied epochs");
         assert_eq!(p.shard_of(kv_command(6, 1)), ShardId::new(1), "bounds kept");
+    }
+
+    #[test]
+    fn reroute_that_does_not_fit_the_group_is_dropped() {
+        // Two boundaries for a two-shard group: the update is ignored, so
+        // state and outbox match those after an (ignored) stale Reroute.
+        let mut p = spawn_rb(2, 3, 0, vec![8]);
+        let mut o = out();
+        p.on_start(&mut o);
+        o.drain();
+        let mut q = p.clone();
+        let mut oq = out();
+        let misfit = RouterUpdate { epoch: 1, boundaries: vec![3, 9] };
+        p.on_message(ProcessId::new(1), &GroupMsg::Reroute { update: misfit }, &mut o);
+        let stale = RouterUpdate { epoch: 0, boundaries: vec![3] };
+        q.on_message(ProcessId::new(1), &GroupMsg::Reroute { update: stale }, &mut oq);
+        assert_eq!(p.router_epoch(), 0, "router unchanged");
+        assert_eq!(format!("{p:?}"), format!("{q:?}"), "group state unchanged");
+        assert_eq!(o.drain(), oq.drain(), "outbox unchanged");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! same-instant ties in insertion order, making every run a deterministic
 //! function of the seed.
 //!
-//! Two hot-path design points (this queue sits under every simulated
-//! message):
+//! The queue is a binary heap of 16-byte `(time, seq, slot)` keys over a
+//! slab of event payloads, and it sits under every simulated message:
 //!
 //! * Broadcast payloads are **shared, not cloned**: a [`MsgPayload`] either
 //!   owns its message (unicast) or holds an `Arc` refcount on one shared
@@ -128,45 +128,17 @@ pub struct ScheduledEvent<M> {
     pub kind: EventKind<M>,
 }
 
-impl<M> PartialEq for ScheduledEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for ScheduledEvent<M> {}
-
-impl<M> PartialOrd for ScheduledEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for ScheduledEvent<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// A compact event key: 16 bytes regardless of the message type, so the
-/// time-ordering structures move small fixed-size entries instead of full
-/// event payloads (which can be several cache lines for rich message
-/// enums). `slot` addresses the payload in the queue's slab; `seq` is the
-/// tie-breaker, truncated to 32 bits (a single run schedules far fewer
-/// than 2³² events — enforced in `push`).
+/// A compact event key: 16 bytes regardless of the message type, so heap
+/// sifts move small fixed-size entries instead of full event payloads
+/// (which can be several cache lines for rich message enums). `slot`
+/// addresses the payload in the queue's slab; `seq` is the tie-breaker,
+/// truncated to 32 bits (a single run schedules far fewer than 2³² events
+/// — enforced in `push`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HeapKey {
     at: SimTime,
     seq: u32,
     slot: u32,
-}
-
-impl HeapKey {
-    #[inline]
-    fn order(&self) -> (SimTime, u32) {
-        (self.at, self.seq)
-    }
 }
 
 impl PartialOrd for HeapKey {
@@ -177,89 +149,30 @@ impl PartialOrd for HeapKey {
 
 impl Ord for HeapKey {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, the far spill wants
-        // earliest-first.
-        other.order().cmp(&self.order())
+        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-/// Number of ring buckets (power of two). With the default bucket width
-/// this covers a comfortable multiple of the longest routinely scheduled
-/// delay; later events go to the far spill heap.
-const RING_BUCKETS: usize = 1024;
-
-/// Pushes between adaptive re-bucketing checks (see
-/// [`EventQueue::set_adaptive`]): long enough to see a workload's real
-/// scheduling horizon, short enough to react within a warmup.
-const ADAPT_WINDOW: u32 = 4096;
-
-/// The bucket span the adaptive target aims the observed horizon at:
-/// half the ring, so a steady workload sits comfortably inside the
-/// horizon with room for jitter before events spill far.
-const ADAPT_TARGET_SPAN: u64 = (RING_BUCKETS as u64) / 2;
-
 /// A min-queue of [`ScheduledEvent`]s ordered by `(time, seq)`.
 ///
-/// Internally a **two-level calendar queue** — the classic discrete-event
-/// simulation structure — rather than a binary heap, because heap sift
-/// paths over thousands of pending events dominate simulator runtime:
-///
-/// * Event payloads live in a slab with a free-list; the time structures
-///   move only compact 24-byte keys.
-/// * Near-future events hash into a ring of `RING_BUCKETS` time buckets
-///   of `bucket_width` nanoseconds each. A push is O(1); a bucket is
-///   sorted once, when the clock reaches it.
-/// * Events beyond the ring's horizon go to a small binary-heap spill and
-///   migrate into the ring as it advances (each advance exposes exactly
-///   one new absolute bucket).
-///
-/// Pop order is *exactly* ascending `(time, seq)` — bit-identical to the
-/// binary-heap implementation it replaces (`queue_matches_reference_heap`
-/// below checks this differentially).
+/// A binary heap of 16-byte keys over a payload slab: event payloads live
+/// in the slab and are recycled through a free list, and the heap orders
+/// only the keys that point at them. Pop order is exactly ascending
+/// `(time, seq)` (`queue_matches_reference_heap` below checks this
+/// differentially against a sorted map).
 #[derive(Debug)]
 pub struct EventQueue<M> {
     slab: Vec<Option<EventKind<M>>>,
     free: Vec<u32>,
+    heap: BinaryHeap<HeapKey>,
     next_seq: u64,
     control_pending: usize,
-    len: usize,
-    /// log2 of the bucket width in nanoseconds.
-    width_shift: u32,
-    /// Capacity hint for freshly-touched ring buckets (≈ expected
-    /// steady-state bucket occupancy), so warm-up avoids regrowth chains.
-    bucket_hint: usize,
-    /// Absolute index (`at >> width_shift`) of the bucket currently being
-    /// drained; every earlier bucket is empty.
-    base_idx: u64,
-    /// The current bucket's remaining events, sorted **descending** by
-    /// `(time, seq)` so the minimum pops from the back in O(1).
-    cur: Vec<HeapKey>,
-    /// Unsorted buckets for absolute indices `base_idx+1 .. base_idx+RING_BUCKETS`;
-    /// slot `i` holds exactly the events of absolute bucket `i & (RING_BUCKETS-1)`…
-    /// i.e. of the unique in-horizon absolute index mapping to it.
-    ring: Vec<Vec<HeapKey>>,
-    /// Total events currently in `cur` + `ring` (excludes `far`).
-    near_len: usize,
-    /// Events at or beyond the ring horizon.
-    far: BinaryHeap<HeapKey>,
-    /// Whether the bucket width re-sizes itself from the observed
-    /// scheduling horizon (default on; see [`EventQueue::set_adaptive`]).
-    adaptive: bool,
-    /// Pushes since the last adaptation check.
-    pushes_since_check: u32,
-    /// Largest push horizon (firing time minus the drain front) seen in
-    /// the current window, in nanoseconds.
-    max_horizon_ns: u64,
-    /// Pushes in the current window that landed in the far heap — the
-    /// symptom the widening rule exists to cure.
-    far_pushes: u32,
 }
 
 impl<M> Default for EventQueue<M> {
     fn default() -> Self {
-        // ~1ms buckets: right for the repo's default δ = 10ms experiments
-        // and harmless otherwise (correctness never depends on the width).
-        EventQueue::with_bucket_width_shift(20, 0)
+        EventQueue::with_capacity(0)
     }
 }
 
@@ -271,99 +184,30 @@ impl<M> EventQueue<M> {
 
     /// Creates an empty queue with pre-allocated space for `cap` events.
     pub fn with_capacity(cap: usize) -> Self {
-        EventQueue::with_bucket_width_shift(20, cap)
-    }
-
-    /// Creates a queue whose ring buckets are `2^shift` nanoseconds wide,
-    /// pre-allocating `cap` payload slots. The simulator picks the shift
-    /// from `δ` so that in-flight messages spread across many buckets.
-    /// All tunable state is initialized by [`EventQueue::reset`], the
-    /// single source of the shift clamp and sizing formulas.
-    pub fn with_bucket_width_shift(shift: u32, cap: usize) -> Self {
-        let mut queue = EventQueue {
-            slab: Vec::new(),
+        EventQueue {
+            slab: Vec::with_capacity(cap),
             free: Vec::with_capacity(cap),
+            heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
             control_pending: 0,
-            len: 0,
-            width_shift: 0,
-            bucket_hint: 0,
-            base_idx: 0,
-            cur: Vec::new(),
-            ring: (0..RING_BUCKETS).map(|_| Vec::new()).collect(),
-            near_len: 0,
-            far: BinaryHeap::new(),
-            adaptive: true,
-            pushes_since_check: 0,
-            max_horizon_ns: 0,
-            far_pushes: 0,
-        };
-        queue.reset(shift, cap);
-        queue
+        }
     }
 
-    /// Enables or disables **adaptive re-bucketing** (on by default).
-    ///
-    /// The construction-time width is a guess (the simulator derives it
-    /// from `δ/16`); a workload whose timers or submissions land far
-    /// beyond `RING_BUCKETS` widths keeps missing the ring and churns
-    /// through the far heap — a binary heap with extra steps. When
-    /// adaptive, the queue tracks the largest push horizon (firing time
-    /// minus the drain front) per adaptation window (4096 pushes) and
-    /// re-buckets so that horizon spans about half the ring: it
-    /// widens as soon as pushes actually spill far, narrows (restoring
-    /// small per-bucket sorts) only on a large margin, so the width
-    /// never flaps. Re-bucketing re-places pending keys but never
-    /// reorders pops — order is `(time, seq)` regardless of bucket
-    /// geometry, so runs stay bit-identical either way (the differential
-    /// tests drive both modes).
-    pub fn set_adaptive(&mut self, on: bool) {
-        self.adaptive = on;
-        self.pushes_since_check = 0;
-        self.max_horizon_ns = 0;
-        self.far_pushes = 0;
-    }
-
-    /// The current `log2` bucket width in nanoseconds (observability for
-    /// tests and benches; adaptation may move it at any push).
-    pub fn bucket_width_shift(&self) -> u32 {
-        self.width_shift
-    }
-
-    /// Empties the queue and re-anchors it at time zero with a (possibly
-    /// new) bucket width, **keeping every allocation**: the payload slab,
-    /// the free list, the ring buckets and the far heap all retain their
-    /// capacity. This is the engine under `World::reset` — a sweep reuses
-    /// one queue across thousands of runs instead of reallocating ~`24n²`
-    /// slots per seed. Behavior after `reset(shift, cap)` is
-    /// indistinguishable from a fresh `with_bucket_width_shift(shift, cap)`.
-    pub fn reset(&mut self, shift: u32, cap: usize) {
-        let shift = shift.clamp(10, 40);
+    /// Empties the queue, **keeping every allocation**: the payload slab,
+    /// the free list and the heap retain their capacity (grown to at least
+    /// `cap`). This is the engine under `World::reset` — a sweep reuses one
+    /// queue across thousands of runs instead of reallocating ~`24n²`
+    /// slots per seed. Behavior after `reset(cap)` is indistinguishable
+    /// from a fresh `with_capacity(cap)`.
+    pub fn reset(&mut self, cap: usize) {
         self.slab.clear();
         self.free.clear();
-        if self.slab.capacity() < cap {
-            self.slab.reserve(cap);
-        }
+        self.heap.clear();
+        self.slab.reserve(cap);
+        self.free.reserve(cap);
+        self.heap.reserve(cap);
         self.next_seq = 0;
         self.control_pending = 0;
-        self.len = 0;
-        self.width_shift = shift;
-        self.bucket_hint = (cap / 24).next_power_of_two().max(8);
-        self.base_idx = 0;
-        self.cur.clear();
-        for bucket in &mut self.ring {
-            bucket.clear();
-        }
-        self.near_len = 0;
-        self.far.clear();
-        self.pushes_since_check = 0;
-        self.max_horizon_ns = 0;
-        self.far_pushes = 0;
-    }
-
-    #[inline]
-    fn bucket_of(&self, at: SimTime) -> u64 {
-        at.as_nanos() >> self.width_shift
     }
 
     /// Schedules `kind` at `at`; returns the assigned sequence number.
@@ -385,167 +229,13 @@ impl<M> EventQueue<M> {
                 slot
             }
         };
-        let key = HeapKey { at, seq, slot };
-        let idx = self.bucket_of(at);
-        // Horizon sample for adaptation, taken against the drain point
-        // *before* any empty-queue re-anchor below: the distance from the
-        // current drain time to the pushed instant is the in-flight span
-        // the bucket geometry has to cover.
-        let drain_ns = self.base_idx << self.width_shift;
-        self.len += 1;
-        if self.len == 1 {
-            // Empty queue: re-anchor the ring at this event's bucket.
-            self.base_idx = idx;
-        }
-        if idx <= self.base_idx {
-            // Into the bucket currently being drained — or an earlier one
-            // (legal as long as nothing later was popped, e.g. scheduling
-            // a time-0 boot after a later crash): `cur` is the sorted
-            // front run holding every pending event at or before the base
-            // bucket (descending, minimum at the back), so ordering
-            // against the ring (strictly later buckets) is preserved.
-            let pos = self
-                .cur
-                .partition_point(|k| k.order() > key.order());
-            self.cur.insert(pos, key);
-            self.near_len += 1;
-        } else if idx - self.base_idx < RING_BUCKETS as u64 {
-            let bucket = &mut self.ring[(idx as usize) & (RING_BUCKETS - 1)];
-            if bucket.capacity() == 0 {
-                bucket.reserve(self.bucket_hint);
-            }
-            bucket.push(key);
-            self.near_len += 1;
-        } else {
-            self.far.push(key);
-            self.far_pushes += 1;
-        }
-        if self.adaptive {
-            self.max_horizon_ns = self
-                .max_horizon_ns
-                .max(at.as_nanos().saturating_sub(drain_ns));
-            self.pushes_since_check += 1;
-            if self.pushes_since_check >= ADAPT_WINDOW {
-                self.maybe_adapt();
-            }
-        }
+        self.heap.push(HeapKey { at, seq, slot });
         seq64
-    }
-
-    /// Closes an adaptation window: picks the bucket width that makes the
-    /// window's largest observed horizon span ~[`ADAPT_TARGET_SPAN`]
-    /// buckets, and re-buckets when the current width is off — eagerly
-    /// when too narrow *and* pushes are demonstrably spilling far, only
-    /// past a two-shift hysteresis margin when too wide (over-wide
-    /// buckets merely cost larger per-bucket sorts, so narrowing can
-    /// afford to be patient and flap-free).
-    fn maybe_adapt(&mut self) {
-        self.pushes_since_check = 0;
-        let horizon = std::mem::take(&mut self.max_horizon_ns);
-        let far_pushes = std::mem::take(&mut self.far_pushes);
-        let ideal = (horizon / ADAPT_TARGET_SPAN).max(1).ilog2().clamp(10, 40);
-        let too_narrow = ideal > self.width_shift && far_pushes > ADAPT_WINDOW / 64;
-        let too_wide = ideal + 2 < self.width_shift;
-        if too_narrow || too_wide {
-            self.rebucket(ideal);
-        }
-    }
-
-    /// Re-places every pending key under a new bucket width, re-anchoring
-    /// the ring at the earliest pending bucket. Placement is geometry,
-    /// not order: pops stay exactly ascending `(time, seq)` across the
-    /// rebuild (`adaptive_queue_matches_reference_heap` checks this
-    /// differentially through repeated re-bucketings).
-    fn rebucket(&mut self, new_shift: u32) {
-        let mut keys: Vec<HeapKey> = Vec::with_capacity(self.len);
-        keys.append(&mut self.cur);
-        for bucket in &mut self.ring {
-            keys.append(bucket);
-        }
-        keys.extend(self.far.drain());
-        self.near_len = 0;
-        self.width_shift = new_shift;
-        let Some(min_at) = keys.iter().map(|k| k.at).min() else {
-            return;
-        };
-        self.base_idx = self.bucket_of(min_at);
-        for key in keys {
-            let idx = self.bucket_of(key.at);
-            if idx <= self.base_idx {
-                self.cur.push(key);
-                self.near_len += 1;
-            } else if idx - self.base_idx < RING_BUCKETS as u64 {
-                let bucket = &mut self.ring[(idx as usize) & (RING_BUCKETS - 1)];
-                if bucket.capacity() == 0 {
-                    bucket.reserve(self.bucket_hint);
-                }
-                bucket.push(key);
-                self.near_len += 1;
-            } else {
-                self.far.push(key);
-            }
-        }
-        // `cur` is the sorted front run (descending, minimum at the back).
-        self.cur
-            .sort_unstable_by_key(|k| std::cmp::Reverse(k.order()));
-    }
-
-    /// Advances `base_idx` to the next non-empty bucket, loading and
-    /// sorting it into `cur`. Caller guarantees the queue is non-empty and
-    /// `cur` is exhausted.
-    fn advance(&mut self) {
-        debug_assert!(self.cur.is_empty());
-        if self.near_len == 0 {
-            // Everything pending lives in the far heap: jump the ring
-            // forward to the earliest far bucket, then migrate its horizon.
-            let min_at = self.far.peek().expect("queue non-empty").at;
-            self.base_idx = self.bucket_of(min_at);
-            self.migrate_far();
-        }
-        loop {
-            // Expose the bucket at `base_idx`; its ring slot holds exactly
-            // the events of this absolute index (see `push`).
-            let slot = (self.base_idx as usize) & (RING_BUCKETS - 1);
-            if !self.ring[slot].is_empty() {
-                std::mem::swap(&mut self.cur, &mut self.ring[slot]);
-                // Descending sort: minimum (time, seq) at the back.
-                self.cur
-                    .sort_unstable_by_key(|k| std::cmp::Reverse(k.order()));
-                return;
-            }
-            self.base_idx += 1;
-            self.migrate_far();
-        }
-    }
-
-    /// Moves far events whose bucket just entered the ring horizon
-    /// (`base_idx + RING_BUCKETS - 1`) into their ring slot — called once
-    /// per `base_idx` advance, so each exposure is handled exactly once.
-    fn migrate_far(&mut self) {
-        let horizon_end = self.base_idx + RING_BUCKETS as u64;
-        while let Some(k) = self.far.peek() {
-            let idx = self.bucket_of(k.at);
-            debug_assert!(idx >= self.base_idx);
-            if idx >= horizon_end {
-                break;
-            }
-            let k = self.far.pop().expect("peeked");
-            self.ring[(idx as usize) & (RING_BUCKETS - 1)].push(k);
-            self.near_len += 1;
-        }
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<M>> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.cur.is_empty() {
-            self.advance();
-        }
-        let key = self.cur.pop().expect("advance found a non-empty bucket");
-        self.near_len -= 1;
-        self.len -= 1;
+        let key = self.heap.pop()?;
         let kind = self.slab[key.slot as usize]
             .take()
             .expect("key points at a live slab slot");
@@ -561,36 +251,24 @@ impl<M> EventQueue<M> {
     }
 
     /// The firing time of the earliest event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.cur.is_empty() {
-            self.advance();
-        }
-        self.cur.last().map(|k| k.at)
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|k| k.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Number of pending control events (boots and client submissions),
-    /// maintained incrementally — O(1), unlike [`EventQueue::any`].
+    /// maintained incrementally in O(1).
     pub fn control_pending(&self) -> usize {
         self.control_pending
-    }
-
-    /// Whether any pending event satisfies `pred` (O(n); for assertions and
-    /// rare paths — hot paths use [`EventQueue::control_pending`]).
-    pub fn any(&self, pred: impl Fn(&EventKind<M>) -> bool) -> bool {
-        self.slab.iter().flatten().any(pred)
     }
 }
 
@@ -644,14 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn any_finds_pending_kinds() {
-        let mut q = EventQueue::<()>::new();
-        q.push(SimTime::ZERO, boot(0));
-        assert!(q.any(|k| matches!(k, EventKind::Boot { .. })));
-        assert!(!q.any(|k| matches!(k, EventKind::Crash { .. })));
-    }
-
-    #[test]
     fn seq_numbers_are_unique_and_increasing() {
         let mut q = EventQueue::<()>::new();
         let a = q.push(SimTime::ZERO, boot(0));
@@ -702,14 +372,14 @@ mod tests {
 
     #[test]
     fn reset_behaves_like_fresh_queue() {
-        let mut q = EventQueue::<()>::with_bucket_width_shift(14, 32);
+        let mut q = EventQueue::<()>::with_capacity(32);
         for i in 0..50u32 {
             q.push(SimTime::from_micros(u64::from(i) * 37), boot(i));
         }
         for _ in 0..20 {
             q.pop();
         }
-        q.reset(20, 64);
+        q.reset(64);
         assert!(q.is_empty());
         assert_eq!(q.control_pending(), 0);
         // Sequence numbers restart at zero; order is exact again.
@@ -721,181 +391,88 @@ mod tests {
         assert!(q.pop().is_none());
     }
 
-    #[test]
-    fn adaptive_widening_pulls_far_pushes_into_the_ring() {
-        // Narrow 2^14ns buckets cover a 16.8ms ring horizon; a workload
-        // whose delays reach seconds keeps spilling far until the
-        // adaptive rule widens the width to fit.
-        let mut q: EventQueue<()> = EventQueue::with_bucket_width_shift(14, 0);
-        assert_eq!(q.bucket_width_shift(), 14);
-        let mut x = 0x2545_f491_4f6c_dd1du64;
+    /// Drives `ops` random pushes and pops through the queue and a
+    /// reference sorted map, asserting identical `(time, seq)` pop order
+    /// and payloads; `delay` maps a random word to a push delay in ns.
+    fn check_against_reference(seed: u64, ops: usize, delay: impl Fn(u64) -> u64) {
+        use std::collections::BTreeMap;
+        let mut x = seed;
         let mut rand = move || {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             x
         };
-        // Two pushes per pop keeps thousands of timers in flight, spread
-        // over a ~4.3s horizon — far beyond the 16.8ms ring span at 2^14.
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut reference: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
         let mut now = 0u64;
-        for i in 0..2 * ADAPT_WINDOW {
-            let at = SimTime::from_nanos(now + rand() % (1 << 32));
-            q.push(at, boot(0));
-            if i % 2 == 0 {
-                now = q.pop().map_or(now, |e| e.at.as_nanos());
-            }
-        }
-        let widened = q.bucket_width_shift();
-        assert!(widened > 14, "width adapted up from 14: {widened}");
-        // ~4.3s horizon over 512 target buckets → ~2^23ns buckets.
-        assert!((20..=26).contains(&widened), "sane target: {widened}");
-        // Fixed mode never moves.
-        let mut fixed: EventQueue<()> = EventQueue::with_bucket_width_shift(14, 0);
-        fixed.set_adaptive(false);
-        let mut now = 0u64;
-        for i in 0..2 * ADAPT_WINDOW {
-            let at = SimTime::from_nanos(now + rand() % (1 << 32));
-            fixed.push(at, boot(0));
-            if i % 2 == 0 {
-                now = fixed.pop().map_or(now, |e| e.at.as_nanos());
-            }
-        }
-        assert_eq!(fixed.bucket_width_shift(), 14);
-    }
-
-    /// Differential check through live re-bucketing: long trials with
-    /// wide (multi-second) horizons cross many adaptation windows, so
-    /// pops must stay exactly `(time, seq)`-ordered across repeated
-    /// width changes — and the widths must actually change.
-    #[test]
-    fn adaptive_queue_matches_reference_heap() {
-        use std::collections::BTreeMap;
-        let mut adapted = false;
-        for trial in 0u64..4 {
-            let mut x = 0xd134_2543_de82_ef95u64.wrapping_mul(trial + 1);
-            let mut rand = move || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x
-            };
-            let mut q: EventQueue<u64> = EventQueue::with_bucket_width_shift(12, 0);
-            let mut reference: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
-            let mut now = 0u64;
-            let mut payload = 0u64;
-            for _ in 0..30_000 {
-                let r = rand();
-                let do_push = reference.is_empty() || r % 5 < 3;
-                if do_push {
-                    let delay = match r % 7 {
-                        0 => 0,
-                        1 => 1 + r % 100,
-                        2..=4 => r % (1 << 18),
-                        // Far beyond the initial 4096-wide ring: forces
-                        // spill, then adaptation.
-                        5 => r % (1 << 30),
-                        _ => r % (1 << 34),
-                    };
-                    let at = SimTime::from_nanos(now + delay);
-                    payload += 1;
-                    let seq = q.push(
-                        at,
-                        EventKind::ClientSubmit {
-                            pid: ProcessId::new(0),
-                            value: Value::new(payload),
-                        },
-                    );
-                    reference.insert((at, seq), payload);
-                } else {
-                    let got = q.pop().expect("reference non-empty");
-                    let (&(at, seq), &val) = reference.iter().next().unwrap();
-                    assert_eq!((got.at, got.seq), (at, seq), "trial {trial}");
-                    match got.kind {
-                        EventKind::ClientSubmit { value, .. } => {
-                            assert_eq!(value.get(), val, "trial {trial}")
-                        }
-                        _ => unreachable!(),
+        let mut payload = 0u64;
+        for _ in 0..ops {
+            let r = rand();
+            let do_push = reference.is_empty() || r % 5 < 3;
+            if do_push {
+                let at = SimTime::from_nanos(now + delay(r));
+                payload += 1;
+                let seq = q.push(
+                    at,
+                    EventKind::ClientSubmit {
+                        pid: ProcessId::new(0),
+                        value: Value::new(payload),
+                    },
+                );
+                reference.insert((at, seq), payload);
+            } else {
+                let got = q.pop().expect("reference non-empty");
+                let (&(at, seq), &val) = reference.iter().next().unwrap();
+                assert_eq!((got.at, got.seq), (at, seq), "seed {seed:#x}");
+                match got.kind {
+                    EventKind::ClientSubmit { value, .. } => {
+                        assert_eq!(value.get(), val, "seed {seed:#x}")
                     }
-                    reference.remove(&(at, seq));
-                    now = at.as_nanos();
+                    _ => unreachable!(),
                 }
-            }
-            adapted |= q.bucket_width_shift() != 12;
-            while let Some(got) = q.pop() {
-                let (&(at, seq), _) = reference.iter().next().unwrap();
-                assert_eq!((got.at, got.seq), (at, seq), "drain, trial {trial}");
                 reference.remove(&(at, seq));
+                now = at.as_nanos();
             }
-            assert!(reference.is_empty());
-            assert_eq!(q.len(), 0);
         }
-        assert!(adapted, "wide-horizon trials must exercise re-bucketing");
+        // Drain fully; order must stay exact.
+        while let Some(got) = q.pop() {
+            let (&(at, seq), _) = reference.iter().next().unwrap();
+            assert_eq!((got.at, got.seq), (at, seq), "drain, seed {seed:#x}");
+            reference.remove(&(at, seq));
+        }
+        assert!(reference.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
-    /// Differential check: the calendar queue pops in exactly the same
-    /// `(time, seq)` order as a reference sorted structure, across many
-    /// randomized interleavings of pushes and pops (including monotone
-    /// "simulation-like" pushes relative to the last popped time, far-future
-    /// outliers beyond the ring horizon, and same-instant bursts).
+    /// Differential check: the queue pops in exactly the same `(time, seq)`
+    /// order as a reference sorted structure, across many randomized
+    /// interleavings of pushes and pops ("simulation-like" pushes relative
+    /// to the last popped time): same-instant bursts, delays within δ, and
+    /// multi-second horizons over long runs.
     #[test]
     fn queue_matches_reference_heap() {
-        use std::collections::BTreeMap;
         for trial in 0u64..20 {
-            let mut x = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(trial + 1);
-            let mut rand = move || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x
-            };
-            let mut q: EventQueue<u64> = EventQueue::with_bucket_width_shift(14, 0);
-            let mut reference: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
-            let mut now = 0u64;
-            let mut payload = 0u64;
-            for _ in 0..3000 {
-                let r = rand();
-                let do_push = reference.is_empty() || r % 5 < 3;
-                if do_push {
-                    let delay = match r % 7 {
-                        // Same instant, tiny, in-ring, and far-horizon delays.
-                        0 => 0,
-                        1 => 1 + r % 100,
-                        2..=4 => r % (1 << 18),
-                        5 => r % (1 << 22),
-                        _ => r % (1 << 28),
-                    };
-                    let at = SimTime::from_nanos(now + delay);
-                    payload += 1;
-                    let seq = q.push(
-                        at,
-                        EventKind::ClientSubmit {
-                            pid: ProcessId::new(0),
-                            value: Value::new(payload),
-                        },
-                    );
-                    reference.insert((at, seq), payload);
-                } else {
-                    let got = q.pop().expect("reference non-empty");
-                    let (&(at, seq), &val) = reference.iter().next().unwrap();
-                    assert_eq!((got.at, got.seq), (at, seq), "trial {trial}");
-                    match got.kind {
-                        EventKind::ClientSubmit { value, .. } => {
-                            assert_eq!(value.get(), val, "trial {trial}")
-                        }
-                        _ => unreachable!(),
-                    }
-                    reference.remove(&(at, seq));
-                    now = at.as_nanos();
-                }
-            }
-            // Drain fully; order must stay exact.
-            while let Some(got) = q.pop() {
-                let (&(at, seq), _) = reference.iter().next().unwrap();
-                assert_eq!((got.at, got.seq), (at, seq), "drain, trial {trial}");
-                reference.remove(&(at, seq));
-            }
-            assert!(reference.is_empty());
-            assert_eq!(q.len(), 0);
+            let seed = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(trial + 1);
+            check_against_reference(seed, 3000, |r| match r % 7 {
+                // Same instant, tiny, in-δ and far-horizon delays.
+                0 => 0,
+                1 => 1 + r % 100,
+                2..=4 => r % (1 << 18),
+                5 => r % (1 << 22),
+                _ => r % (1 << 28),
+            });
+        }
+        for trial in 0u64..4 {
+            let seed = 0xd134_2543_de82_ef95u64.wrapping_mul(trial + 1);
+            check_against_reference(seed, 30_000, |r| match r % 7 {
+                // Long runs whose delays reach seconds.
+                0 => 0,
+                1 => 1 + r % 100,
+                2..=4 => r % (1 << 18),
+                5 => r % (1 << 30),
+                _ => r % (1 << 34),
+            });
         }
     }
 }

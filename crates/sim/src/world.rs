@@ -366,7 +366,7 @@ impl<P: Protocol> World<P> {
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             network: Network::new(cfg.ts, cfg.timing.delta(), cfg.post_delay_range, cfg.pre.clone()),
             leader: LeaderOracle::new(cfg.leader_announce_after),
-            queue: EventQueue::with_bucket_width_shift(Self::width_shift(&cfg), Self::queue_cap(&cfg)),
+            queue: EventQueue::with_capacity(Self::queue_cap(&cfg)),
             cfg,
             protocol,
             procs: Vec::new(),
@@ -390,22 +390,16 @@ impl<P: Protocol> World<P> {
         world
     }
 
-    /// Bucket width ~δ/16 spreads in-flight messages across the calendar
-    /// ring.
-    fn width_shift(cfg: &SimConfig) -> u32 {
-        (cfg.timing.delta().as_nanos() / 16).max(1024).ilog2()
-    }
-
-    /// Pre-size for the steady state: every process broadcasting to every
-    /// process plus timers and control events, so the slab does not regrow
-    /// during the first busy instants.
+    /// The event queue's pre-sized capacity: every process broadcasting to
+    /// every process plus timers and control events, so neither the payload
+    /// slab nor the key heap regrows during the first busy instants.
     fn queue_cap(cfg: &SimConfig) -> usize {
         let n = cfg.timing.n();
         24 * n * n + 8 * n + 64
     }
 
     /// Re-initializes this world for a fresh run of `cfg`, **reusing** the
-    /// event queue's slab and ring, the per-process harness vector, the
+    /// event queue's slab and heap, the per-process harness vector, the
     /// scratch outbox and every metrics buffer. A sweep resets one world
     /// per seed instead of rebuilding it; the run is bit-identical to one
     /// on a newly constructed `World::new(cfg, protocol)`
@@ -413,7 +407,7 @@ impl<P: Protocol> World<P> {
     /// The protocol factory is kept; tracing and metering stay enabled
     /// if they were.
     pub fn reset(&mut self, cfg: SimConfig) {
-        self.queue.reset(Self::width_shift(&cfg), Self::queue_cap(&cfg));
+        self.queue.reset(Self::queue_cap(&cfg));
         self.rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         self.network = Network::new(cfg.ts, cfg.timing.delta(), cfg.post_delay_range, cfg.pre.clone());
         self.leader = LeaderOracle::new(cfg.leader_announce_after);
